@@ -70,7 +70,11 @@ def cmd_paper_check(args) -> int:
     weights = None
     if args.weights:
         weights = [float(w) for w in args.weights.split(",")]
-    rep = reference_checks(rotation_turns=args.rotate, weights=weights)
+    try:
+        rep = reference_checks(rotation_turns=args.rotate, weights=weights)
+    except CdspError as exc:
+        print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
+        return 2
     _emit(report_to_json(rep), args.out)
     for it in rep["items"]:
         print(f"{it['status']:>15}  {it['name']}", file=sys.stderr)
@@ -137,14 +141,18 @@ def cmd_sweep(args) -> int:
 
 
 def _parse_point(text: str) -> complex:
-    re_s, im_s = text.split(",")
-    return complex(float(re_s), float(im_s))
+    """argparse type for a disc point written 're,im'."""
+    try:
+        re_s, im_s = text.split(",")
+        return complex(float(re_s), float(im_s))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected 're,im', got {text!r}") from None
 
 
 def cmd_kernel(args) -> int:
     policy = _policy_from_args(args)
-    z = _parse_point(args.z)
-    lam = _parse_point(args.lam)
+    z, lam = args.z, args.lam
     if abs(z) >= 1 or abs(lam) >= 1:
         print("kernel evaluation requires |z| < 1 and |lam| < 1", file=sys.stderr)
         return 2
@@ -211,8 +219,10 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kernel", help="evaluate the reproducing kernels at a pair")
     p.add_argument("--measure", "-m", required=True)
-    p.add_argument("--z", required=True, help="re,im of the first point")
-    p.add_argument("--lam", required=True, help="re,im of the second point")
+    p.add_argument("--z", required=True, type=_parse_point,
+                   help="re,im of the first point")
+    p.add_argument("--lam", required=True, type=_parse_point,
+                   help="re,im of the second point")
     common(p)
     p.set_defaults(func=cmd_kernel)
     return ap

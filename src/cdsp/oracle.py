@@ -12,7 +12,9 @@ before being trusted (see gram_quadrature).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import comb
+from typing import Callable, List
 
 import numpy as np
 
@@ -90,19 +92,37 @@ def norm_sq(mm: MonomialModel, v: np.ndarray) -> float:
     return float(np.real(np.conj(v) @ (mm.G @ v)))
 
 
+def orbit_norms(mm: MonomialModel, v: np.ndarray, n: int,
+                step: Callable[[np.ndarray], np.ndarray]) -> List[float]:
+    """[||v||^2, ||T v||^2, ..., ||T^n v||^2] with T applied by ``step``;
+    one norm_sq per vector of the orbit."""
+    norms = [norm_sq(mm, v)]
+    w = v
+    for _ in range(n):
+        w = step(w)
+        norms.append(norm_sq(mm, w))
+    return norms
+
+
+def agler_forms(norms: List[float]) -> List[float]:
+    """B_0, ..., B_n from norms[k] = ||T^k v||^2, each as the left-to-right
+    sum  B_n = sum_k (-1)^k C(n, k) ||T^k v||^2."""
+    forms = []
+    for n in range(len(norms)):
+        total = 0.0
+        for k in range(n + 1):
+            total += (-1) ** k * comb(n, k) * norms[k]
+        forms.append(total)
+    return forms
+
+
 def bn_form(mm: MonomialModel, n: int, v: np.ndarray) -> float:
     """<B_n(M_z) v, v> via the norms-only telescoping evaluation; exact
     within the truncation given n steps of headroom."""
     v = np.asarray(v, dtype=complex)
     if np.any(np.abs(v[mm.N - n:]) > 0):
         raise Overflow(f"vector needs {n} coefficients of headroom")
-    total = 0.0
-    w = v.copy()
-    for k in range(n + 1):
-        total += (-1) ** k * comb(n, k) * norm_sq(mm, w)
-        if k < n:
-            w = apply_mz(mm, w)
-    return total
+    return agler_forms(orbit_norms(mm, v, n, partial(apply_mz, mm)))[n]
 
 
 def shift_matrix(N: int) -> np.ndarray:
@@ -156,7 +176,10 @@ def dual_norm(mm: MonomialModel, Tp: np.ndarray) -> float:
 def bn_dual_probe(m: Measure, n_max: int, trials: int, N: int,
                   seed: int = 0) -> dict:
     """Most negative normalized Agler form value of the Cauchy dual over
-    random test vectors, with an N vs 2N stabilization comparison."""
+    random test vectors, with an N vs 2N stabilization comparison.
+
+    ``per_size[size]`` also carries the model and its dual matrix under
+    "model" and "dual", so a caller can reuse them instead of rebuilding."""
     rng = np.random.default_rng(seed)
     results = {}
     for size in (N, 2 * N):
@@ -168,19 +191,15 @@ def bn_dual_probe(m: Measure, n_max: int, trials: int, N: int,
             v = np.zeros(size, dtype=complex)
             support = size // 2
             v[:support] = rng.normal(size=support) + 1j * rng.normal(size=support)
-            nv = norm_sq(mm, v)
+            norms = orbit_norms(mm, v, n_max, lambda w: Tp @ w)
+            forms = agler_forms(norms)
             for n in range(1, n_max + 1):
-                total = 0.0
-                w = v.copy()
-                for k in range(n + 1):
-                    total += (-1) ** k * comb(n, k) * norm_sq(mm, w)
-                    if k < n:
-                        w = Tp @ w
-                val = total / nv
+                val = forms[n] / norms[0]
                 if val < worst:
                     worst = val
                     witness = (n, trial)
-        results[size] = {"most_negative": worst, "witness": witness}
+        results[size] = {"most_negative": worst, "witness": witness,
+                         "model": mm, "dual": Tp}
     a, b = results[N]["most_negative"], results[2 * N]["most_negative"]
     caution = abs(a - b) > 0.1 * max(abs(a), abs(b), 1e-12)
     return {"N": N, "per_size": results, "most_negative": b,

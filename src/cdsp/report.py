@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import time
 from fractions import Fraction
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -56,19 +57,20 @@ class PipelineResult:
 
 def run_oracle(m: Measure, policy: NumericPolicy) -> dict:
     N = policy.oracle_N
-    mm = oracle.monomial_gram(m, N)
+    probe = oracle.bn_dual_probe(m, 8, 10, N, seed=policy.seed)
+    mm, Tp = probe["per_size"][N]["model"], probe["per_size"][N]["dual"]
+    shift = partial(oracle.apply_mz, mm)
     rng = np.random.default_rng(policy.seed)
     worst_b2 = 0.0
     worst_bn = -np.inf
     for _ in range(20):
         v = np.zeros(N, dtype=complex)
         v[: N - 8] = rng.normal(size=N - 8) + 1j * rng.normal(size=N - 8)
-        nv = oracle.norm_sq(mm, v)
-        worst_b2 = max(worst_b2, abs(oracle.bn_form(mm, 2, v)) / nv)
+        norms = oracle.orbit_norms(mm, v, 6, shift)
+        forms = oracle.agler_forms(norms)
+        worst_b2 = max(worst_b2, abs(forms[2]) / norms[0])
         for n in range(1, 7):
-            worst_bn = max(worst_bn, oracle.bn_form(mm, n, v) / nv)
-    Tp = oracle.cauchy_dual_matrix(mm)
-    probe = oracle.bn_dual_probe(m, 8, 10, N, seed=policy.seed)
+            worst_bn = max(worst_bn, forms[n] / norms[0])
     return {
         "N": N,
         "two_isometry_defect": worst_b2,

@@ -136,7 +136,7 @@ def decide(fr: FejerRiesz, s_eval: Callable,
     violation = False
     if run_psd and len(fr.alphas) >= 1:
         probes = psd_search(fr, s_eval, policy.l_max, policy.N_trunc,
-                            exhaustive=exhaustive_psd)
+                            psd_tol=policy.psd_tol, exhaustive=exhaustive_psd)
         violation = any(p.min_eig < -policy.psd_tol * max(abs(p.trace), 1e-300)
                         for p in probes)
     if (premises_ok and max_norm > policy.zero_reject) or violation:

@@ -106,6 +106,12 @@ class TestPaperCheck:
         assert statuses["factorization_identity"] == "PASS"
         assert statuses["verdict_not_subnormal"] == "PASS"
 
+    def test_invalid_weights_exit_code(self, capsys):
+        # exit 1 means a failed regression check; invalid input is exit 2
+        code, out, err = run(capsys, "paper-check", "--weights", "0,1,1")
+        assert code == 2 and out == ""
+        assert "error [ValidationError]: nonpositive weight" in err
+
 
 class TestSweep:
     def test_csv_shape_and_columns(self, capsys):
@@ -151,3 +157,13 @@ class TestKernel:
         code, _, err = run(capsys, "kernel", "-m", "0:1",
                            "--z", "1.5,0.0", "--lam", "0.1,0.0")
         assert code == 2 and "|z| < 1" in err
+
+    @pytest.mark.parametrize("z, lam, bad", [("0.3", "0,0", "--z"),
+                                             ("0.3,0.1", "x,0", "--lam"),
+                                             ("0.3,0.1", "0,0,0", "--lam")])
+    def test_malformed_point_names_argument(self, capsys, z, lam, bad):
+        with pytest.raises(SystemExit) as exc:
+            main(["kernel", "-m", "0,1/3,2/3:1,1,1", "--z", z, "--lam", lam])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert f"argument {bad}: expected 're,im'" in err

@@ -1,13 +1,77 @@
+from math import comb
+
 import numpy as np
 import pytest
 
 from cdsp import parse_measure
 from cdsp.errors import Overflow
-from cdsp.oracle import (bn_dual_probe, bn_form, cauchy_dual_matrix, dual_norm,
-                         gram_quadrature, monomial_gram, norm_sq,
-                         operator_norm_G, shift_matrix)
+from cdsp.oracle import (agler_forms, apply_mz, bn_dual_probe, bn_form,
+                         cauchy_dual_matrix, dual_norm, gram_quadrature,
+                         monomial_gram, norm_sq, operator_norm_G, orbit_norms,
+                         shift_matrix)
+from cdsp.policy import NumericPolicy
+from cdsp.report import run_oracle
 
 SPECS = ["0:1", "0,1/2:1,1", "0,1/3,2/3:1,1,1", "0,1/4:1,2"]
+EXACT_SPECS = ["0,1/3,2/3:1,1,1", "0,1/2:1,1"]
+
+
+# Reference evaluations: every order n recomputes T^k v and its norm from v,
+# as the oracle did before the norms of an orbit were shared across orders.
+
+def bn_form_per_order(mm, n, v):
+    total = 0.0
+    w = v.copy()
+    for k in range(n + 1):
+        total += (-1) ** k * comb(n, k) * norm_sq(mm, w)
+        if k < n:
+            w = apply_mz(mm, w)
+    return total
+
+
+def bn_dual_probe_per_order(m, n_max, trials, N, seed=0):
+    rng = np.random.default_rng(seed)
+    results = {}
+    for size in (N, 2 * N):
+        mm = monomial_gram(m, size)
+        Tp = cauchy_dual_matrix(mm)
+        worst = 0.0
+        witness = None
+        for trial in range(trials):
+            v = np.zeros(size, dtype=complex)
+            support = size // 2
+            v[:support] = rng.normal(size=support) + 1j * rng.normal(size=support)
+            nv = norm_sq(mm, v)
+            for n in range(1, n_max + 1):
+                total = 0.0
+                w = v.copy()
+                for k in range(n + 1):
+                    total += (-1) ** k * comb(n, k) * norm_sq(mm, w)
+                    if k < n:
+                        w = Tp @ w
+                val = total / nv
+                if val < worst:
+                    worst = val
+                    witness = (n, trial)
+        results[size] = {"most_negative": worst, "witness": witness}
+    return results
+
+
+def run_oracle_per_order(m, policy):
+    N = policy.oracle_N
+    mm = monomial_gram(m, N)
+    rng = np.random.default_rng(policy.seed)
+    worst_b2 = 0.0
+    worst_bn = -np.inf
+    for _ in range(20):
+        v = np.zeros(N, dtype=complex)
+        v[: N - 8] = rng.normal(size=N - 8) + 1j * rng.normal(size=N - 8)
+        nv = norm_sq(mm, v)
+        worst_b2 = max(worst_b2, abs(bn_form_per_order(mm, 2, v)) / nv)
+        for n in range(1, 7):
+            worst_bn = max(worst_bn, bn_form_per_order(mm, n, v) / nv)
+    return {"two_isometry_defect": worst_b2, "max_bn_form": worst_bn,
+            "dual_norm": dual_norm(mm, cauchy_dual_matrix(mm))}
 
 
 class TestMonomialGram:
@@ -69,6 +133,59 @@ class TestAglerForms:
         v = np.ones(8, dtype=complex)
         with pytest.raises(Overflow):
             bn_form(mm, 2, v)
+
+
+class TestSharedOrbit:
+    def test_orbit_norms_are_norms_of_powers(self):
+        mm = monomial_gram(parse_measure("0,1/4:1,2"), 12)
+        v = np.zeros(12, dtype=complex)
+        v[:4] = [1.0, -2.0j, 0.5, 3.0]
+        S = shift_matrix(12)
+        expect = [norm_sq(mm, np.linalg.matrix_power(S, k) @ v) for k in range(5)]
+        assert orbit_norms(mm, v, 4, lambda w: S @ w) == expect
+
+    def test_agler_forms_binomial_sums(self):
+        assert agler_forms([1.0]) == [1.0]
+        # B_1 = x0 - x1, B_2 = x0 - 2 x1 + x2, B_3 = x0 - 3 x1 + 3 x2 - x3
+        assert agler_forms([5.0, 3.0, 2.0, 7.0]) == [5.0, 2.0, 1.0, -5.0]
+
+    @pytest.mark.parametrize("spec", EXACT_SPECS)
+    def test_bn_form_equals_per_order_loop(self, spec):
+        rng = np.random.default_rng(3)
+        mm = monomial_gram(parse_measure(spec), 24)
+        for _ in range(4):
+            v = np.zeros(24, dtype=complex)
+            v[:16] = rng.normal(size=16) + 1j * rng.normal(size=16)
+            for n in range(0, 9):
+                assert bn_form(mm, n, v) == bn_form_per_order(mm, n, v)
+
+    @pytest.mark.parametrize("spec", EXACT_SPECS)
+    def test_dual_probe_equals_per_order_loop(self, spec):
+        m = parse_measure(spec)
+        got = bn_dual_probe(m, n_max=8, trials=10, N=24, seed=5)
+        ref = bn_dual_probe_per_order(m, n_max=8, trials=10, N=24, seed=5)
+        for size in (24, 48):
+            entry = got["per_size"][size]
+            assert entry["most_negative"] == ref[size]["most_negative"]
+            assert entry["witness"] == ref[size]["witness"]
+            # the returned model and dual are the ones the probe used
+            mm = monomial_gram(m, size)
+            assert np.array_equal(entry["model"].G, mm.G)
+            assert np.array_equal(entry["dual"], cauchy_dual_matrix(mm))
+        assert got["most_negative"] == ref[48]["most_negative"]
+
+    @pytest.mark.parametrize("spec", EXACT_SPECS)
+    def test_run_oracle_equals_per_order_loop(self, spec):
+        m = parse_measure(spec)
+        policy = NumericPolicy(oracle_N=24)
+        got = run_oracle(m, policy)
+        ref = run_oracle_per_order(m, policy)
+        for key, value in ref.items():
+            assert got[key] == value, key
+        probe = bn_dual_probe_per_order(m, 8, 10, 24, seed=policy.seed)[48]
+        assert got["dual_probe_most_negative"] == probe["most_negative"]
+        witness = probe["witness"]
+        assert got["dual_probe_witness"] == (list(witness) if witness else None)
 
 
 class TestCauchyDual:

@@ -11,6 +11,7 @@ from cdsp.policy import NumericPolicy
 from cdsp.verdict import (INCONCLUSIVE, NOT_SUBNORMAL, SUBNORMAL_NUMERIC,
                           decide, moment_truncation, offdiag_sums,
                           pair_premises, psd_search)
+from conftest import Pipe
 
 
 def s_of(pipe):
@@ -141,3 +142,17 @@ class TestDecide:
         loose = NumericPolicy(zero_reject=10.0, zero_accept=1e-7)
         v = decide(three_point.fr, s_of(three_point), loose, run_psd=False)
         assert v.decision == INCONCLUSIVE
+
+    def test_short_circuit_stops_at_policy_tolerance(self):
+        # l = 2 reads min_eig/trace = -9.8e-9: below the default -1e-10 of
+        # psd_search but above the policy's -1e-8, so it is no violation and
+        # the short-circuit must go on to l = 3 (-1.0e-3)
+        pipe = Pipe("60/997,246/997,847/997,863/997:0.731976,0.348999,0.343196,2.999")
+        policy = NumericPolicy()
+        short = decide(pipe.fr, s_of(pipe), policy)
+        full = decide(pipe.fr, s_of(pipe), policy, exhaustive_psd=True)
+        first = next(i for i, p in enumerate(full.psd_probes)
+                     if p.min_eig < -policy.psd_tol * abs(p.trace))
+        assert short.psd_probes == full.psd_probes[: first + 1]
+        assert [p.l for p in short.psd_probes] == [1, 2, 3]
+        assert short.decision == full.decision == NOT_SUBNORMAL
