@@ -54,8 +54,8 @@ def _emit(text: str, out_path):
 
 
 def cmd_analyze(args) -> int:
-    policy = _policy_from_args(args)
     try:
+        policy = _policy_from_args(args)
         rep = analyze(_load_measure_arg(args.measure), policy,
                       with_oracle=args.oracle,
                       exhaustive_psd=args.exhaustive_psd)
@@ -67,11 +67,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_paper_check(args) -> int:
-    weights = None
-    if args.weights:
-        weights = [float(w) for w in args.weights.split(",")]
     try:
-        rep = reference_checks(rotation_turns=args.rotate, weights=weights)
+        rep = reference_checks(rotation_turns=args.rotate, weights=args.weights)
     except CdspError as exc:
         print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 2
@@ -119,14 +116,10 @@ def run_sweep(grid: int, weights, workers: int = 0) -> list:
 
 
 def cmd_sweep(args) -> int:
-    weights = (1.0, 1.0, 1.0)
-    if args.weights:
-        parts = [float(w) for w in args.weights.split(",")]
-        if len(parts) != 3:
-            print("sweep needs exactly three weights", file=sys.stderr)
-            return 2
-        weights = tuple(parts)
-    rows = run_sweep(args.grid, weights, workers=args.workers)
+    if len(args.weights) != 3:
+        print("sweep needs exactly three weights", file=sys.stderr)
+        return 2
+    rows = run_sweep(args.grid, args.weights, workers=args.workers)
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=SWEEP_COLUMNS, lineterminator="\n")
     writer.writeheader()
@@ -150,13 +143,35 @@ def _parse_point(text: str) -> complex:
             f"expected 're,im', got {text!r}") from None
 
 
+def _parse_weights(text: str) -> tuple:
+    """argparse type for weights written 'w1,w2,...'."""
+    try:
+        return tuple(float(w) for w in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for a count of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return value
+
+
 def cmd_kernel(args) -> int:
-    policy = _policy_from_args(args)
     z, lam = args.z, args.lam
-    if abs(z) >= 1 or abs(lam) >= 1:
+    # written so that a NaN coordinate fails the test too
+    if not (abs(z) < 1 and abs(lam) < 1):
         print("kernel evaluation requires |z| < 1 and |lam| < 1", file=sys.stderr)
         return 2
     try:
+        policy = _policy_from_args(args)
         m = parse_measure(_load_measure_arg(args.measure))
         res = PipelineResult(m, policy)
     except CdspError as exc:
@@ -188,8 +203,9 @@ def make_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--policy", help="@file.json numeric policy")
         p.add_argument("--seed", type=int, help="seed for random test vectors")
-        p.add_argument("--lmax", type=int, help="positivity probe depth")
-        p.add_argument("--ntrunc", type=int, help="truncation size for probes")
+        p.add_argument("--lmax", type=_positive_int, help="positivity probe depth")
+        p.add_argument("--ntrunc", type=_positive_int,
+                       help="truncation size for probes")
         p.add_argument("--out", help="write output to this path instead of stdout")
 
     p = sub.add_parser("analyze", help="full pipeline on one measure")
@@ -206,13 +222,15 @@ def make_parser() -> argparse.ArgumentParser:
                        help="regression-check the closed-form constants of "
                             "the three equi-spaced atom example")
     p.add_argument("--rotate", help="rotate the measure by this many turns")
-    p.add_argument("--weights", help="comma-separated weights (default 1,1,1)")
+    p.add_argument("--weights", type=_parse_weights,
+                   help="comma-separated weights (default 1,1,1)")
     common(p)
     p.set_defaults(func=cmd_paper_check)
 
     p = sub.add_parser("sweep", help="grid sweep over three-atom configurations")
-    p.add_argument("--grid", type=int, default=12, help="angle grid size")
-    p.add_argument("--weights", help="w1,w2,w3 (default 1,1,1)")
+    p.add_argument("--grid", type=_positive_int, default=12, help="angle grid size")
+    p.add_argument("--weights", type=_parse_weights, default=(1.0, 1.0, 1.0),
+                   help="w1,w2,w3 (default 1,1,1)")
     p.add_argument("--workers", type=int, default=0, help="parallel workers")
     common(p)
     p.set_defaults(func=cmd_sweep)

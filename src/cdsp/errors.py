@@ -25,6 +25,10 @@ class ParseError(CdspError):
     """Malformed measure specification."""
 
 
+class PolicyError(CdspError, ValueError):
+    """A numeric policy has an unknown key or an out-of-range value."""
+
+
 class ValidationError(CdspError):
     """A measure violates its invariants (duplicate atoms, nonpositive weight, off-circle point)."""
 

@@ -66,6 +66,8 @@ class Measure:
         if len(self.atoms) < 1:
             raise ValidationError("measure needs at least one atom")
         for pt, wt in self.atoms:
+            if not math.isfinite(wt):
+                raise ValidationError(f"non-finite weight {wt}")
             if not (wt > 0):
                 raise ValidationError(f"nonpositive weight {wt}")
         pts = [pt.value for pt, _ in self.atoms]

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict, fields, replace
+
+from .errors import PolicyError
 
 
 @dataclass(frozen=True)
@@ -20,18 +22,31 @@ class NumericPolicy:
 
     def __post_init__(self):
         if not (0 < self.zero_accept < self.zero_reject):
-            raise ValueError("zero_accept must be positive and below zero_reject")
+            raise PolicyError("zero_accept must be positive and below zero_reject")
         for name in ("root_tol", "identity_tol", "psd_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not getattr(self, name) > 0:
+                raise PolicyError(f"{name} must be positive")
+        for name in ("l_max", "N_trunc"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < 1:
+                raise PolicyError(f"{name} must be a positive integer, got {value!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "NumericPolicy":
+        if not isinstance(d, dict):
+            raise PolicyError("a policy must be a JSON object")
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise PolicyError(f"unknown policy key {unknown[0]!r}")
         return replace(cls(), **d)
 
     @classmethod
     def from_json(cls, text: str) -> "NumericPolicy":
-        return cls.from_dict(json.loads(text))
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise PolicyError(f"policy is not JSON: {exc}") from exc
+        return cls.from_dict(doc)

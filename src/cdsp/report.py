@@ -110,7 +110,7 @@ def build_report(res: PipelineResult, include_timings: bool = True) -> dict:
             "P": [[cjson(z) for z in row] for row in res.hf.P],
         },
         "S": {
-            "diagonal": [res.s_eval(a, a).real for a in res.fr.alphas],
+            "diagonal": v.S.diagonal().real.tolist(),
             "offdiagonal": [
                 {"r": ev.r, "t": ev.t, "value": cjson(ev.S_rt),
                  "normalized": abs(ev.S_rt) / ev.S_scale,

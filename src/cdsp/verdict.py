@@ -50,7 +50,8 @@ class Verdict:
     pair_evidence: List[PairEvidence]
     psd_probes: List[PsdProbe]
     policy: NumericPolicy
-    max_offdiag_norm: float = 0.0
+    max_offdiag_norm: float
+    S: np.ndarray = field(compare=False, repr=False)  # root values, see root_values
 
 
 def pair_premises(fr: FejerRiesz) -> List[PairEvidence]:
@@ -67,13 +68,21 @@ def pair_premises(fr: FejerRiesz) -> List[PairEvidence]:
     return out
 
 
-def offdiag_sums(fr: FejerRiesz, s_eval: Callable) -> List[PairEvidence]:
-    """Attach S values at exterior-root pairs to the premise evidence."""
-    k = len(fr.alphas)
-    diag = np.array([s_eval(fr.alphas[r], fr.alphas[r]).real for r in range(k)])
+def root_values(fr: FejerRiesz, s_eval: Callable) -> np.ndarray:
+    """k x k matrix S[r, t] = S(alpha_r, alpha_t) at the exterior roots."""
+    alphas = fr.alphas
+    k = len(alphas)
+    return np.array([[s_eval(alphas[r], alphas[t]) for t in range(k)] for r in range(k)],
+                    dtype=complex)
+
+
+def offdiag_sums(fr: FejerRiesz, S: np.ndarray) -> List[PairEvidence]:
+    """Attach the root values S[r, t] of ``root_values`` to the premise
+    evidence, scaled by sqrt(S[r, r] S[t, t])."""
+    diag = S.diagonal().real
     out = []
     for ev in pair_premises(fr):
-        s_rt = complex(s_eval(fr.alphas[ev.r], fr.alphas[ev.t]))
+        s_rt = complex(S[ev.r, ev.t])
         scale = float(np.sqrt(max(diag[ev.r], 1e-300) * max(diag[ev.t], 1e-300)))
         out.append(PairEvidence(ev.r, ev.t, ev.product, ev.premise_ok, s_rt, scale))
     return out
@@ -92,29 +101,40 @@ def _log_products(alphas: np.ndarray) -> np.ndarray:
     return np.exp(np.sum(np.where(np.eye(k, dtype=bool), 0.0, logs), axis=1))
 
 
-def moment_truncation(fr: FejerRiesz, s_eval: Callable, l: int, N: int) -> np.ndarray:
-    """N x N Hermitian truncation of the order-l moment matrix."""
+def _moment_factors(fr: FejerRiesz, S: np.ndarray, N: int):
+    """The parts of the order-l moment matrix V (kappa o gamma^l) V^H that
+    do not depend on l: kappa = S / (a a^H), gamma_rt = 1 - 1/(alpha_r
+    conj(alpha_t)), V[m, r] = alpha_r^{-(m+2)} for m < N, and V^H."""
     alphas = fr.alphas
-    k = len(alphas)
     a = _log_products(alphas)
-    S = np.array([[s_eval(alphas[r], alphas[t]) for t in range(k)] for r in range(k)],
-                 dtype=complex)
     kappa = S / np.outer(a, np.conj(a))
     gamma = 1.0 - 1.0 / (alphas[:, None] * np.conj(alphas[None, :]))
-    weight = kappa * gamma ** l
     ms = np.arange(N)
-    V = (1.0 / alphas[None, :]) ** (ms[:, None] + 2)  # V[m, r] = alpha_r^{-(m+2)}
-    M = V @ weight @ V.conj().T
+    V = (1.0 / alphas[None, :]) ** (ms[:, None] + 2)
+    return kappa, gamma, V, V.conj().T
+
+
+def _truncation(factors, l: int) -> np.ndarray:
+    kappa, gamma, V, Vh = factors
+    M = V @ (kappa * gamma ** l) @ Vh
     return 0.5 * (M + M.conj().T)
 
 
-def psd_search(fr: FejerRiesz, s_eval: Callable, l_max: int, N: int,
+def moment_truncation(fr: FejerRiesz, s_eval: Callable, l: int, N: int) -> np.ndarray:
+    """N x N Hermitian truncation of the order-l moment matrix."""
+    return _truncation(_moment_factors(fr, root_values(fr, s_eval), N), l)
+
+
+def psd_search(fr: FejerRiesz, S: np.ndarray, l_max: int, N: int,
                psd_tol: float = 1e-10, exhaustive: bool = False) -> List[PsdProbe]:
-    """Probe truncations for l = 1..l_max; short-circuits on the first
-    violation unless exhaustive."""
+    """Probe the N x N truncations of the order-l moment matrices built from
+    the root values S (``root_values``) for l = 1..l_max, the same matrices
+    ``moment_truncation`` returns; short-circuits on the first violation
+    unless exhaustive."""
+    factors = _moment_factors(fr, S, N)
     probes = []
     for l in range(1, l_max + 1):
-        M = moment_truncation(fr, s_eval, l, N)
+        M = _truncation(factors, l)
         eigs = np.linalg.eigvalsh(M)
         tr = float(np.trace(M).real)
         probe = PsdProbe(l, N, float(eigs[0]), tr)
@@ -128,14 +148,15 @@ def decide(fr: FejerRiesz, s_eval: Callable,
            policy: Optional[NumericPolicy] = None,
            run_psd: bool = True, exhaustive_psd: bool = False) -> Verdict:
     policy = policy or NumericPolicy()
-    evidence = offdiag_sums(fr, s_eval)
+    S = root_values(fr, s_eval)
+    evidence = offdiag_sums(fr, S)
     premises_ok = all(ev.premise_ok for ev in evidence)
     norms = [abs(ev.S_rt) / ev.S_scale for ev in evidence]
     max_norm = max(norms) if norms else 0.0
     probes = []
     violation = False
     if run_psd and len(fr.alphas) >= 1:
-        probes = psd_search(fr, s_eval, policy.l_max, policy.N_trunc,
+        probes = psd_search(fr, S, policy.l_max, policy.N_trunc,
                             psd_tol=policy.psd_tol, exhaustive=exhaustive_psd)
         violation = any(p.min_eig < -policy.psd_tol * max(abs(p.trace), 1e-300)
                         for p in probes)
@@ -145,4 +166,4 @@ def decide(fr: FejerRiesz, s_eval: Callable,
         decision = SUBNORMAL_NUMERIC
     else:
         decision = INCONCLUSIVE
-    return Verdict(decision, evidence, probes, policy, float(max_norm))
+    return Verdict(decision, evidence, probes, policy, float(max_norm), S)

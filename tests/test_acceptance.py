@@ -21,7 +21,7 @@ from cdsp.measure import Measure
 from cdsp.oracle import (bn_form, cauchy_dual_matrix, dual_norm,
                          gram_quadrature, monomial_gram, norm_sq)
 from cdsp.verdict import (NOT_SUBNORMAL, SUBNORMAL_NUMERIC, decide,
-                          moment_truncation, psd_search)
+                          moment_truncation, psd_search, root_values)
 
 B = (11.0 + 3.0 * np.sqrt(13.0)) / 2.0
 X = (np.sqrt(13.0) - 1.0) / 2.0
@@ -149,7 +149,7 @@ def test_criterion_5_known_subnormal_controls():
             assert v.decision == SUBNORMAL_NUMERIC
             norms = [abs(ev.S_rt) / ev.S_scale for ev in v.pair_evidence]
             assert all(n <= 1e-7 for n in norms)
-            probes = psd_search(fr, s, 16, 64, exhaustive=True)
+            probes = psd_search(fr, root_values(fr, s), 16, 64, exhaustive=True)
             assert all(p.min_eig >= -1e-8 * max(abs(p.trace), 1e-300)
                        for p in probes)
         _, fr, dd = pipeline("0,1/4:1,1")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cdsp.cli import SWEEP_COLUMNS, main, run_sweep
+from cdsp.errors import PolicyError
 from cdsp.policy import NumericPolicy
 
 
@@ -14,6 +15,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     cap = capsys.readouterr()
     return code, cap.out, cap.err
+
+
+def usage_error(capsys, *argv):
+    """stderr of a command line that argparse rejects with exit 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    return capsys.readouterr().err
 
 
 class TestAnalyze:
@@ -71,6 +80,27 @@ class TestAnalyze:
         assert code == 2
         assert "ValidationError" in err
 
+    def test_infinite_weight_is_invalid(self, capsys):
+        code, out, err = run(capsys, "analyze", "-m", "0,1/3,2/3:1,1,inf")
+        assert code == 2 and out == ""
+        assert "error [ValidationError]: non-finite weight inf" in err
+
+    @pytest.mark.parametrize("flag", ["--lmax", "--ntrunc"])
+    @pytest.mark.parametrize("value", ["0", "-3", "x"])
+    def test_probe_sizes_must_be_positive(self, capsys, flag, value):
+        err = usage_error(capsys, "analyze", "-m", "0,1/3,2/3:1,1,1", flag, value)
+        assert f"argument {flag}: expected a positive integer, got '{value}'" in err
+
+    @pytest.mark.parametrize("doc, key", [({"l_max": 3, "lmax": 4}, "'lmax'"),
+                                          ({"N_trunc": 0}, "N_trunc"),
+                                          ({"l_max": 2.5}, "l_max")])
+    def test_bad_policy_file_names_key(self, capsys, tmp_path, doc, key):
+        pol = tmp_path / "p.json"
+        pol.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "analyze", "-m", "0:1", "--policy", f"@{pol}")
+        assert code == 2 and out == ""
+        assert "error [PolicyError]:" in err and key in err
+
     def test_byte_stable_modulo_timings(self, capsys):
         reps = []
         for _ in range(2):
@@ -112,6 +142,10 @@ class TestPaperCheck:
         assert code == 2 and out == ""
         assert "error [ValidationError]: nonpositive weight" in err
 
+    def test_malformed_weights_name_argument(self, capsys):
+        err = usage_error(capsys, "paper-check", "--weights", "a,1,1")
+        assert "argument --weights: expected comma-separated numbers, got 'a,1,1'" in err
+
 
 class TestSweep:
     def test_csv_shape_and_columns(self, capsys):
@@ -140,6 +174,14 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "--grid", "2", "--weights", "1,2")
         assert code == 2 and "three weights" in err
 
+    def test_malformed_weights_name_argument(self, capsys):
+        err = usage_error(capsys, "sweep", "--grid", "2", "--weights", "a,1,1")
+        assert "argument --weights: expected comma-separated numbers, got 'a,1,1'" in err
+
+    def test_empty_grid_names_argument(self, capsys):
+        err = usage_error(capsys, "sweep", "--grid", "0")
+        assert "argument --grid: expected a positive integer, got '0'" in err
+
 
 class TestKernel:
     def test_values_and_consistency(self, capsys):
@@ -158,6 +200,13 @@ class TestKernel:
                            "--z", "1.5,0.0", "--lam", "0.1,0.0")
         assert code == 2 and "|z| < 1" in err
 
+    @pytest.mark.parametrize("z, lam", [("nan,0", "0,0"), ("0,0", "0,inf")])
+    def test_rejects_non_finite_points(self, capsys, z, lam):
+        code, out, err = run(capsys, "kernel", "-m", "0,1/3,2/3:1,1,1",
+                             "--z", z, "--lam", lam)
+        assert code == 2 and out == ""
+        assert "|z| < 1" in err
+
     @pytest.mark.parametrize("z, lam, bad", [("0.3", "0,0", "--z"),
                                              ("0.3,0.1", "x,0", "--lam"),
                                              ("0.3,0.1", "0,0,0", "--lam")])
@@ -167,3 +216,18 @@ class TestKernel:
         err = capsys.readouterr().err
         assert exc.value.code == 2
         assert f"argument {bad}: expected 're,im'" in err
+
+
+class TestPolicy:
+    def test_unknown_key(self):
+        with pytest.raises(PolicyError, match="unknown policy key 'lmax'"):
+            NumericPolicy.from_dict({"lmax": 3})
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "{l_max: 3}"])
+    def test_not_a_json_object(self, text):
+        with pytest.raises(PolicyError):
+            NumericPolicy.from_json(text)
+
+    def test_round_trip(self):
+        pol = NumericPolicy(l_max=3, N_trunc=16)
+        assert NumericPolicy.from_json(json.dumps(pol.to_dict())) == pol

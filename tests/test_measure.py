@@ -52,6 +52,11 @@ class TestParse:
         with pytest.raises(ValidationError):
             parse_measure("0,1/2:1,0")
 
+    @pytest.mark.parametrize("weight", ["inf", "nan"])
+    def test_non_finite_weight(self, weight):
+        with pytest.raises(ValidationError, match="non-finite weight"):
+            parse_measure(f"0,1/3,2/3:1,1,{weight}")
+
     def test_off_circle_point(self):
         with pytest.raises(ValidationError):
             CirclePoint(0.5 + 0.5j)

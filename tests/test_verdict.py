@@ -2,20 +2,80 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cdsp import build_dirichlet, build_trig, extract_C, factorize, rotate_measure
 from cdsp.debranges import eval_S
-from cdsp.errors import DegenerateAlphas
+from cdsp.errors import CdspError, DegenerateAlphas
 from cdsp.fejer import FejerRiesz
 from cdsp.policy import NumericPolicy
 from cdsp.verdict import (INCONCLUSIVE, NOT_SUBNORMAL, SUBNORMAL_NUMERIC,
-                          decide, moment_truncation, offdiag_sums,
-                          pair_premises, psd_search)
+                          PairEvidence, PsdProbe, decide, moment_truncation, offdiag_sums,
+                          pair_premises, psd_search, root_values)
+from cdsp.verdict import _log_products
 from conftest import Pipe
+
+EQUI8 = ",".join(f"{i}/8" for i in range(8)) + ":" + ",".join(["1"] * 8)
 
 
 def s_of(pipe):
     return lambda z, u: eval_S(pipe.dd, z, u)
+
+
+@pytest.fixture(scope="module")
+def reference_pipes(pipes):
+    names = ("three_point", "antipodal", "quarter")
+    return {**{name: pipes[name] for name in names}, "equi8": Pipe(EQUI8)}
+
+
+# --- the verdict layer as first written: every order l rebuilds S from k^2
+# scalar calls, and the zero test makes k + k(k-1) more ------------------
+
+def per_order_truncation(fr, s_eval, l, N):
+    alphas = fr.alphas
+    k = len(alphas)
+    a = _log_products(alphas)
+    S = np.array([[s_eval(alphas[r], alphas[t]) for t in range(k)] for r in range(k)],
+                 dtype=complex)
+    kappa = S / np.outer(a, np.conj(a))
+    gamma = 1.0 - 1.0 / (alphas[:, None] * np.conj(alphas[None, :]))
+    weight = kappa * gamma ** l
+    ms = np.arange(N)
+    V = (1.0 / alphas[None, :]) ** (ms[:, None] + 2)
+    M = V @ weight @ V.conj().T
+    return 0.5 * (M + M.conj().T)
+
+
+def per_order_decide(fr, s_eval, policy, exhaustive):
+    """(pair_evidence, max_offdiag_norm, psd_probes) of the per-order loop."""
+    k = len(fr.alphas)
+    diag = np.array([s_eval(fr.alphas[r], fr.alphas[r]).real for r in range(k)])
+    evidence = []
+    for ev in pair_premises(fr):
+        s_rt = complex(s_eval(fr.alphas[ev.r], fr.alphas[ev.t]))
+        scale = float(np.sqrt(max(diag[ev.r], 1e-300) * max(diag[ev.t], 1e-300)))
+        evidence.append(PairEvidence(ev.r, ev.t, ev.product, ev.premise_ok, s_rt, scale))
+    norms = [abs(ev.S_rt) / ev.S_scale for ev in evidence]
+    probes = []
+    for l in range(1, policy.l_max + 1):
+        M = per_order_truncation(fr, s_eval, l, policy.N_trunc)
+        eigs = np.linalg.eigvalsh(M)
+        tr = float(np.trace(M).real)
+        probes.append(PsdProbe(l, policy.N_trunc, float(eigs[0]), tr))
+        if probes[-1].min_eig < -policy.psd_tol * max(abs(tr), 1e-300) and not exhaustive:
+            break
+    return evidence, float(max(norms) if norms else 0.0), probes
+
+
+@st.composite
+def random_measures(draw):
+    """k = 2..5 atoms at n/997 turns, chords >= 0.1, weights in [0.25, 4]."""
+    k = draw(st.integers(2, 5))
+    n = sorted(draw(st.lists(st.integers(0, 996), min_size=k, max_size=k, unique=True)))
+    gaps = np.diff(n + [n[0] + 997]) / 997
+    assume(2.0 * np.sin(np.pi * gaps.min()) >= 0.1)
+    w = draw(st.lists(st.floats(0.25, 4.0), min_size=k, max_size=k))
+    return ",".join(f"{x}/997" for x in n) + ":" + ",".join(repr(x) for x in w)
 
 
 class TestPremises:
@@ -40,7 +100,8 @@ class TestPremises:
 
 class TestOffdiag:
     def test_three_point_normalized_norm(self, three_point):
-        evs = offdiag_sums(three_point.fr, s_of(three_point))
+        evs = offdiag_sums(three_point.fr,
+                           root_values(three_point.fr, s_of(three_point)))
         norms = [abs(ev.S_rt) / ev.S_scale for ev in evs]
         # all six pairs have the same size by symmetry
         assert max(norms) == pytest.approx(min(norms), rel=1e-8)
@@ -48,13 +109,13 @@ class TestOffdiag:
 
     def test_antipodal_vanishes(self, pipes):
         pipe = pipes["antipodal"]
-        evs = offdiag_sums(pipe.fr, s_of(pipe))
+        evs = offdiag_sums(pipe.fr, root_values(pipe.fr, s_of(pipe)))
         assert max(abs(ev.S_rt) / ev.S_scale for ev in evs) < 1e-9
 
     def test_scale_is_geometric_mean_of_diagonal(self, three_point):
         fr = three_point.fr
         s = s_of(three_point)
-        evs = offdiag_sums(fr, s)
+        evs = offdiag_sums(fr, root_values(fr, s))
         d0 = s(fr.alphas[0], fr.alphas[0]).real
         d1 = s(fr.alphas[1], fr.alphas[1]).real
         ev = next(e for e in evs if (e.r, e.t) == (0, 1))
@@ -74,7 +135,8 @@ class TestMomentTruncation:
             assert np.min(np.linalg.eigvalsh(M)) >= -1e-10 * tr
 
     def test_three_point_violation_appears(self, three_point):
-        probes = psd_search(three_point.fr, s_of(three_point), 16, 64)
+        probes = psd_search(three_point.fr,
+                            root_values(three_point.fr, s_of(three_point)), 16, 64)
         tol = 1e-8
         assert any(p.min_eig < -tol * abs(p.trace) for p in probes)
 
@@ -84,7 +146,8 @@ class TestMomentTruncation:
             moment_truncation(fr, lambda z, u: 1.0, 1, 8)
 
     def test_exhaustive_collects_all_orders(self, three_point):
-        probes = psd_search(three_point.fr, s_of(three_point), 6, 32,
+        probes = psd_search(three_point.fr,
+                            root_values(three_point.fr, s_of(three_point)), 6, 32,
                             exhaustive=True)
         assert [p.l for p in probes] == [1, 2, 3, 4, 5, 6]
 
@@ -156,3 +219,53 @@ class TestDecide:
         assert short.psd_probes == full.psd_probes[: first + 1]
         assert [p.l for p in short.psd_probes] == [1, 2, 3]
         assert short.decision == full.decision == NOT_SUBNORMAL
+
+
+class TestRootValues:
+    @pytest.mark.parametrize("exhaustive", [False, True])
+    def test_decide_matches_per_order_loop(self, reference_pipes, exhaustive):
+        policy = NumericPolicy()
+        for name, pipe in reference_pipes.items():
+            v = decide(pipe.fr, s_of(pipe), policy, exhaustive_psd=exhaustive)
+            evidence, max_norm, probes = per_order_decide(pipe.fr, s_of(pipe),
+                                                          policy, exhaustive)
+            assert v.pair_evidence == evidence, name
+            assert v.max_offdiag_norm == max_norm, name
+            assert v.psd_probes == probes, name
+
+    @pytest.mark.parametrize("exhaustive", [False, True])
+    def test_decide_evaluates_each_root_pair_once(self, reference_pipes, exhaustive):
+        for name, pipe in reference_pipes.items():
+            calls = []
+
+            def s(z, u, pipe=pipe):
+                calls.append((z, u))
+                return eval_S(pipe.dd, z, u)
+
+            v = decide(pipe.fr, s, exhaustive_psd=exhaustive)
+            k = len(pipe.fr.alphas)
+            assert len(calls) == k * k, name
+            assert np.array_equal(v.S, root_values(pipe.fr, s_of(pipe))), name
+
+    def test_moment_truncation_matches_per_order_loop(self, reference_pipes):
+        for name, pipe in reference_pipes.items():
+            for l in (1, 2, 7):
+                got = moment_truncation(pipe.fr, s_of(pipe), l, 16)
+                want = per_order_truncation(pipe.fr, s_of(pipe), l, 16)
+                assert np.array_equal(got, want), (name, l)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(random_measures())
+    def test_short_circuit_is_exhaustive_cut_at_first_violation(self, spec):
+        try:
+            pipe = Pipe(spec)
+        except CdspError:
+            assume(False)
+        policy = NumericPolicy()
+        short = decide(pipe.fr, s_of(pipe), policy)
+        full = decide(pipe.fr, s_of(pipe), policy, exhaustive_psd=True)
+        violations = [i for i, p in enumerate(full.psd_probes)
+                      if p.min_eig < -policy.psd_tol * max(abs(p.trace), 1e-300)]
+        cut = violations[0] + 1 if violations else len(full.psd_probes)
+        assert short.psd_probes == full.psd_probes[:cut]
+        assert short.decision == full.decision
