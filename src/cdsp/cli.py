@@ -7,40 +7,42 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 
 from . import debranges, dirichlet
-from .errors import CdspError
+from .errors import CdspError, ParseError, PolicyError
 from .measure import parse_measure
 from .policy import NumericPolicy
 from .report import (PipelineResult, analyze, reference_checks,
                      report_to_json)
 
 
+def _read_text(path: str, error, what: str) -> str:
+    """Contents of a named input file; an unreadable file raises ``error``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what} file {path!r}: "
+                    f"{getattr(exc, 'strerror', None) or exc}") from exc
+
+
 def _load_measure_arg(arg: str) -> str:
     if arg.startswith("@"):
-        with open(arg[1:], "r", encoding="utf-8") as fh:
-            return fh.read()
+        return _read_text(arg[1:], ParseError, "measure")
     return arg
 
 
 def _policy_from_args(args) -> NumericPolicy:
     policy = NumericPolicy()
-    if getattr(args, "policy", None):
-        with open(args.policy.lstrip("@"), "r", encoding="utf-8") as fh:
-            policy = NumericPolicy.from_json(fh.read())
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "lmax", None) is not None:
-        overrides["l_max"] = args.lmax
-    if getattr(args, "ntrunc", None) is not None:
-        overrides["N_trunc"] = args.ntrunc
-    return replace(policy, **overrides) if overrides else policy
+    if args.policy:
+        policy = NumericPolicy.from_json(
+            _read_text(args.policy.lstrip("@"), PolicyError, "policy"))
+    overrides = {"seed": args.seed, "l_max": args.lmax, "N_trunc": args.ntrunc}
+    return replace(policy, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _emit(text: str, out_path):
@@ -98,28 +100,20 @@ SWEEP_COLUMNS = ["theta2", "theta3", "w1", "w2", "w3",
                  "max_offdiag_norm", "verdict", "error"]
 
 
-def run_sweep(grid: int, weights, workers: int = 0) -> list:
+def run_sweep(grid: int, weights) -> list:
     """One row per (theta2, theta3) pair on an equi-spaced rational grid of
     the given size; degenerate cells carry their error in-row."""
     w1, w2, w3 = weights
-    cells = []
-    for i in range(1, grid + 1):
-        for j in range(1, grid + 1):
-            cells.append((Fraction(i, grid + 1), Fraction(j, grid + 1),
-                          w1, w2, w3))
-    if workers and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_cell, cells))
-    else:
-        rows = [_sweep_cell(c) for c in cells]
-    return rows
+    return [_sweep_cell((Fraction(i, grid + 1), Fraction(j, grid + 1),
+                         w1, w2, w3))
+            for i in range(1, grid + 1) for j in range(1, grid + 1)]
 
 
 def cmd_sweep(args) -> int:
     if len(args.weights) != 3:
         print("sweep needs exactly three weights", file=sys.stderr)
         return 2
-    rows = run_sweep(args.grid, args.weights, workers=args.workers)
+    rows = run_sweep(args.grid, args.weights)
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=SWEEP_COLUMNS, lineterminator="\n")
     writer.writeheader()
@@ -200,12 +194,15 @@ def make_parser() -> argparse.ArgumentParser:
                     "shift on a weighted Dirichlet space is subnormal.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--policy", help="@file.json numeric policy")
-        p.add_argument("--seed", type=int, help="seed for random test vectors")
-        p.add_argument("--lmax", type=_positive_int, help="positivity probe depth")
-        p.add_argument("--ntrunc", type=_positive_int,
-                       help="truncation size for probes")
+    def common(p, policy=False):
+        # only analyze and kernel run the pipeline under a chosen policy;
+        # paper-check and sweep always use the default one
+        if policy:
+            p.add_argument("--policy", help="@file.json numeric policy")
+            p.add_argument("--seed", type=int, help="seed for random test vectors")
+            p.add_argument("--lmax", type=_positive_int, help="positivity probe depth")
+            p.add_argument("--ntrunc", type=_positive_int,
+                           help="truncation size for probes")
         p.add_argument("--out", help="write output to this path instead of stdout")
 
     p = sub.add_parser("analyze", help="full pipeline on one measure")
@@ -215,7 +212,7 @@ def make_parser() -> argparse.ArgumentParser:
                    help="also run the operator-level cross-check")
     p.add_argument("--exhaustive-psd", action="store_true",
                    help="do not short-circuit positivity probes")
-    common(p)
+    common(p, policy=True)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("paper-check",
@@ -231,7 +228,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=_positive_int, default=12, help="angle grid size")
     p.add_argument("--weights", type=_parse_weights, default=(1.0, 1.0, 1.0),
                    help="w1,w2,w3 (default 1,1,1)")
-    p.add_argument("--workers", type=int, default=0, help="parallel workers")
     common(p)
     p.set_defaults(func=cmd_sweep)
 
@@ -241,7 +237,7 @@ def make_parser() -> argparse.ArgumentParser:
                    help="re,im of the first point")
     p.add_argument("--lam", required=True, type=_parse_point,
                    help="re,im of the second point")
-    common(p)
+    common(p, policy=True)
     p.set_defaults(func=cmd_kernel)
     return ap
 

@@ -100,15 +100,6 @@ def factor_P(C: np.ndarray) -> np.ndarray:
     return nx.cholesky_herm(np.conj(C))
 
 
-def eval_S_from_P(P: np.ndarray, z, u):
-    k = P.shape[0]
-    zp = np.array([np.asarray(z, dtype=complex) ** m for m in range(1, k + 1)])
-    up = np.array([np.asarray(u, dtype=complex) ** m for m in range(1, k + 1)])
-    pz = np.tensordot(P, zp, axes=(1, 0))
-    pu = np.tensordot(P, up, axes=(1, 0))
-    return np.sum(pz * np.conj(pu), axis=0)
-
-
 def make_schur(dd: DirichletData, hf: HermForm) -> SchurData:
     return SchurData(hf.P, dd.outer.q)
 
@@ -118,10 +109,3 @@ def kernel_KB(sd: SchurData, z: complex, w: complex) -> complex:
     bz = sd.eval_components(z)
     bw = sd.eval_components(w)
     return complex((1.0 - np.sum(bz * np.conj(bw))) / (1.0 - z * np.conj(w)))
-
-
-def schur_sup_bound(sd: SchurData, radius: float = 0.999, n: int = 512) -> float:
-    """Sampled sup of ||B(z)|| on the circle of the given radius."""
-    zs = radius * np.exp(2j * np.pi * np.arange(n) / n)
-    vals = [np.sqrt(np.sum(np.abs(sd.eval_components(z)) ** 2)) for z in zs]
-    return float(np.max(vals))

@@ -30,11 +30,6 @@ class OuterData:
     def eval(self, z):
         return nx.poly_eval(self.p, z) / nx.poly_eval(self.q, z)
 
-    def eval_prime(self, z):
-        num = (nx.poly_eval(nx.poly_derivative(self.p), z) * nx.poly_eval(self.q, z)
-               - nx.poly_eval(self.p, z) * nx.poly_eval(nx.poly_derivative(self.q), z))
-        return num / nx.poly_eval(self.q, z) ** 2
-
 
 @dataclass(frozen=True)
 class DirichletData:

@@ -51,10 +51,6 @@ def _abs_sq_factor(zeta: complex) -> np.ndarray:
     return np.array([-zeta, 2.0, -np.conj(zeta)], dtype=complex)
 
 
-def _laurent_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.convolve(a, b)
-
-
 def build_trig(m: Measure) -> TrigPoly:
     """Exact polynomial convolution of the (z - zeta)(1/z - conj(zeta))
     factors; no sampling involved."""
@@ -63,16 +59,14 @@ def build_trig(m: Measure) -> TrigPoly:
     k = m.k
     full = np.ones(1, dtype=complex)
     for z in pts:
-        full = _laurent_mul(full, _abs_sq_factor(z))
-    total = np.zeros(2 * k + 1, dtype=complex)
-    total[: len(full)] += 0  # keep dtype
+        full = np.convolve(full, _abs_sq_factor(z))
     # full has degree span -k..k already
     total = _pad_center(full, k)
-    for j, (zj, cj) in enumerate(zip(pts, wts)):
+    for j, cj in enumerate(wts):
         part = np.ones(1, dtype=complex)
         for i, zi in enumerate(pts):
             if i != j:
-                part = _laurent_mul(part, _abs_sq_factor(zi))
+                part = np.convolve(part, _abs_sq_factor(zi))
         total = total + cj * _pad_center(part, k)
     return TrigPoly(k, total)
 
@@ -127,11 +121,10 @@ def factorize(t: TrigPoly, root_tol: float = 1e-12) -> FejerRiesz:
     return FejerRiesz(alphas, d)
 
 
-def verify_identity(m: Measure, fr: FejerRiesz) -> float:
-    """Max relative residual of the factorization identity on 8k+32
-    equi-spaced circle samples."""
-    t = build_trig(m)
-    n = 8 * m.k + 32
+def verify_identity(t: TrigPoly, fr: FejerRiesz) -> float:
+    """Max relative residual of the factorization identity t = d prod
+    |z - alpha_j|^2 on 8k+32 equi-spaced circle samples."""
+    n = 8 * t.k + 32
     zs = np.exp(2j * np.pi * np.arange(n) / n)
     lhs = t.eval_circle(zs).real
     rhs = fr.d * np.prod(np.abs(zs[:, None] - fr.alphas[None, :]) ** 2, axis=1)

@@ -127,25 +127,37 @@ def parse_measure(spec: str) -> Measure:
     return Measure(atoms)
 
 
+def _number(value, what: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{what} must be a number, got {value!r}") from exc
+
+
 def _parse_json(text: str) -> Measure:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(str(exc)) from exc
-    if not isinstance(doc, dict) or "atoms" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("atoms"), list):
         raise ParseError("JSON measure document needs an 'atoms' list")
     atoms = []
     for entry in doc["atoms"]:
+        if not isinstance(entry, dict):
+            raise ParseError(f"atom must be a JSON object, got {entry!r}")
         if "weight" not in entry:
             raise ParseError("atom without weight")
-        wt = float(entry["weight"])
+        wt = _number(entry["weight"], "weight")
         if "turns" in entry:
             pt = CirclePoint.from_turns(_parse_turn(str(entry["turns"])))
         elif "angle" in entry:
-            pt = CirclePoint.from_angle(float(entry["angle"]))
+            pt = CirclePoint.from_angle(_number(entry["angle"], "angle"))
         elif "point" in entry:
             pc = entry["point"]
-            pt = CirclePoint(complex(float(pc["re"]), float(pc["im"])))
+            if not isinstance(pc, dict) or not {"re", "im"} <= pc.keys():
+                raise ParseError("point needs 're' and 'im'")
+            pt = CirclePoint(complex(_number(pc["re"], "point re"),
+                                     _number(pc["im"], "point im")))
         else:
             raise ParseError("atom needs one of turns / angle / point")
         atoms.append((pt, wt))

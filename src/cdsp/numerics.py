@@ -27,11 +27,6 @@ def as_poly(coeffs) -> np.ndarray:
     return c[: nz[-1] + 1] if nz.size else np.zeros(1, dtype=complex)
 
 
-def poly_degree(p: np.ndarray) -> int:
-    p = as_poly(p)
-    return len(p) - 1
-
-
 def poly_eval(p, z):
     """Horner evaluation of p at z (scalar or array)."""
     p = np.asarray(p, dtype=complex)
@@ -48,10 +43,6 @@ def poly_derivative(p) -> np.ndarray:
     if len(p) == 1:
         return np.zeros(1, dtype=complex)
     return p[1:] * np.arange(1, len(p), dtype=complex)
-
-
-def poly_mul(a, b) -> np.ndarray:
-    return np.convolve(as_poly(a), as_poly(b))
 
 
 def poly_from_roots(roots) -> np.ndarray:
@@ -150,43 +141,6 @@ def herm_check(M: np.ndarray, tol: float = 1e-12) -> None:
         raise ValueError("matrix is not Hermitian within tolerance")
 
 
-def herm_eigen(M, tol: float = 1e-12, max_sweeps: int = 60) -> np.ndarray:
-    """All real eigenvalues of a Hermitian matrix via cyclic Jacobi rotations.
-
-    Sweeps until the off-diagonal Frobenius norm falls below tol * ||M||.
-    """
-    A = np.array(M, dtype=complex)
-    herm_check(A)
-    A = 0.5 * (A + A.conj().T)
-    n = A.shape[0]
-    if n == 1:
-        return np.array([A[0, 0].real])
-    norm = max(float(np.linalg.norm(A)), 1e-300)
-    for _ in range(max_sweeps):
-        off = float(np.linalg.norm(A - np.diag(np.diag(A))))
-        if off <= tol * norm:
-            return np.sort(np.diag(A).real)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                phase = apq / abs(apq)
-                app, aqq = A[p, p].real, A[q, q].real
-                tau = (aqq - app) / (2.0 * abs(apq))
-                t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau)) if tau != 0 else 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # unitary plane rotation built from the phase of A[p,q]
-                cp = A[:, p] * c - A[:, q] * s * np.conj(phase)
-                cq = A[:, p] * s * phase + A[:, q] * c
-                A[:, p], A[:, q] = cp, cq
-                rp = A[p, :] * c - A[q, :] * s * phase
-                rq = A[p, :] * s * np.conj(phase) + A[q, :] * c
-                A[p, :], A[q, :] = rp, rq
-    raise NonConvergence("Jacobi eigensolver exceeded sweep budget")
-
-
 def cholesky_herm(M, tol: float = 1e-10) -> np.ndarray:
     """Upper-triangular U with M = U^H U for a Hermitian PSD matrix.
 
@@ -217,31 +171,12 @@ def cholesky_herm(M, tol: float = 1e-10) -> np.ndarray:
 
 
 def solve_linear(M, rhs) -> np.ndarray:
-    """Partial-pivot LU solve of M X = rhs.
+    """Solve M X = rhs (rhs a vector or a matrix of columns) by LAPACK's LU.
 
-    Raises Singular when a pivot falls below 1e-14 times the matrix scale.
+    Raises Singular when the factorization meets an exactly zero pivot.
     """
-    A = np.array(M, dtype=complex)
-    B = np.array(rhs, dtype=complex)
-    squeeze = B.ndim == 1
-    if squeeze:
-        B = B[:, None]
-    n = A.shape[0]
-    if A.shape[0] != A.shape[1] or B.shape[0] != n:
-        raise ValueError("shape mismatch in solve_linear")
-    scale = max(float(np.max(np.abs(A))), 1e-300)
-    for k in range(n):
-        piv = k + int(np.argmax(np.abs(A[k:, k])))
-        if abs(A[piv, k]) < 1e-14 * scale:
-            raise Singular(f"pivot {abs(A[piv, k]):.3e} below threshold")
-        if piv != k:
-            A[[k, piv]] = A[[piv, k]]
-            B[[k, piv]] = B[[piv, k]]
-        factors = A[k + 1:, k] / A[k, k]
-        A[k + 1:, k + 1:] -= np.outer(factors, A[k, k + 1:])
-        B[k + 1:] -= np.outer(factors, B[k])
-        A[k + 1:, k] = 0.0
-    X = np.zeros_like(B)
-    for k in range(n - 1, -1, -1):
-        X[k] = (B[k] - A[k, k + 1:] @ X[k + 1:]) / A[k, k]
-    return X[:, 0] if squeeze else X
+    try:
+        return np.linalg.solve(np.asarray(M, dtype=complex),
+                               np.asarray(rhs, dtype=complex))
+    except np.linalg.LinAlgError as exc:
+        raise Singular(str(exc)) from exc

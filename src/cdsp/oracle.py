@@ -156,13 +156,6 @@ def cauchy_dual_matrix(mm: MonomialModel) -> np.ndarray:
     return Tp
 
 
-def operator_norm_G(mm: MonomialModel, A: np.ndarray) -> float:
-    """Operator norm with respect to the G inner product."""
-    R = np.linalg.cholesky(mm.G).conj().T  # G = R^H R
-    mid = R @ A @ np.linalg.inv(R)
-    return float(np.linalg.norm(mid, 2))
-
-
 def dual_norm(mm: MonomialModel, Tp: np.ndarray) -> float:
     """Norm of the Cauchy dual restricted to its domain (the model minus
     the top basis vector, where the construction is meaningful)."""

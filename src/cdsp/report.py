@@ -42,7 +42,7 @@ class PipelineResult:
         self.policy = policy
         self.trig = fejer.build_trig(m)
         self.fr = fejer.factorize(self.trig, root_tol=policy.root_tol)
-        self.identity_residual = fejer.verify_identity(m, self.fr)
+        self.identity_residual = fejer.verify_identity(self.trig, self.fr)
         self.dd = dirichlet.build_dirichlet(m, self.fr)
         self.hf = debranges.extract_C(self.dd)
         self.sd = debranges.make_schur(self.dd, self.hf)

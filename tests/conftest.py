@@ -1,8 +1,8 @@
-import numpy as np
 import pytest
 
 from cdsp import (NumericPolicy, build_dirichlet, build_trig, extract_C,
                   factorize, parse_measure)
+from cdsp.report import closed_form_constants
 
 
 class Pipe:
@@ -38,7 +38,8 @@ def policy():
 
 
 # closed-form constants for the equi-spaced three-point unit-weight case
-B_CONST = (11.0 + 3.0 * np.sqrt(13.0)) / 2.0
-ALPHA_CONST = B_CONST ** (1.0 / 3.0)
-X_CONST = (np.sqrt(13.0) - 1.0) / 2.0
-W_CONST = complex(-0.5, np.sqrt(3.0) / 2.0)
+_REF = closed_form_constants()
+B_CONST = _REF["b"]
+ALPHA_CONST = _REF["alpha"]
+X_CONST = _REF["x"]
+W_CONST = _REF["w"]

@@ -20,12 +20,12 @@ from cdsp.dirichlet import kernel_full
 from cdsp.measure import Measure
 from cdsp.oracle import (bn_form, cauchy_dual_matrix, dual_norm,
                          gram_quadrature, monomial_gram, norm_sq)
+from cdsp.report import closed_form_constants
 from cdsp.verdict import (NOT_SUBNORMAL, SUBNORMAL_NUMERIC, decide,
                           moment_truncation, psd_search, root_values)
 
-B = (11.0 + 3.0 * np.sqrt(13.0)) / 2.0
-X = (np.sqrt(13.0) - 1.0) / 2.0
-W = complex(-0.5, np.sqrt(3.0) / 2.0)
+_REF = closed_form_constants()
+B, X, W = _REF["b"], _REF["x"], _REF["w"]
 
 THREE = "0,1/3,2/3:1,1,1"
 MEASURES = [THREE, "0:1", "0,1/2:1,1", "0,1/4:1,1"]

@@ -101,6 +101,26 @@ class TestAnalyze:
         assert code == 2 and out == ""
         assert "error [PolicyError]:" in err and key in err
 
+    def test_missing_measure_file(self, capsys, tmp_path):
+        code, out, err = run(capsys, "analyze", "-m", f"@{tmp_path / 'none.json'}")
+        assert code == 2 and out == ""
+        assert "error [ParseError]: cannot read measure file" in err
+
+    def test_missing_policy_file(self, capsys, tmp_path):
+        code, out, err = run(capsys, "analyze", "-m", "0:1",
+                             "--policy", f"@{tmp_path / 'none.json'}")
+        assert code == 2 and out == ""
+        assert "error [PolicyError]: cannot read policy file" in err
+
+    @pytest.mark.parametrize("atoms", [[{"turns": "0", "weight": "x"}],
+                                       [{"angle": "a", "weight": 1}],
+                                       [{"point": {"re": 1, "im": "b"}, "weight": 1}],
+                                       [1, 2]])
+    def test_malformed_json_measure_exit_code(self, capsys, atoms):
+        code, out, err = run(capsys, "analyze", "-m", json.dumps({"atoms": atoms}))
+        assert code == 2 and out == ""
+        assert "error [ParseError]:" in err
+
     def test_byte_stable_modulo_timings(self, capsys):
         reps = []
         for _ in range(2):
@@ -146,6 +166,13 @@ class TestPaperCheck:
         err = usage_error(capsys, "paper-check", "--weights", "a,1,1")
         assert "argument --weights: expected comma-separated numbers, got 'a,1,1'" in err
 
+    @pytest.mark.parametrize("argv", [("--policy", "@p.json"), ("--seed", "7"),
+                                      ("--lmax", "1"), ("--ntrunc", "8")])
+    def test_takes_no_policy_options(self, capsys, argv):
+        # paper-check always runs under the default policy
+        err = usage_error(capsys, "paper-check", *argv)
+        assert f"unrecognized arguments: {' '.join(argv)}" in err
+
 
 class TestSweep:
     def test_csv_shape_and_columns(self, capsys):
@@ -182,6 +209,14 @@ class TestSweep:
         err = usage_error(capsys, "sweep", "--grid", "0")
         assert "argument --grid: expected a positive integer, got '0'" in err
 
+    @pytest.mark.parametrize("argv", [("--workers", "2"), ("--lmax", "1"),
+                                      ("--policy", "@p.json"), ("--seed", "7"),
+                                      ("--ntrunc", "8")])
+    def test_rejects_removed_options(self, capsys, argv):
+        # sweep runs serially under the default policy
+        err = usage_error(capsys, "sweep", "--grid", "2", *argv)
+        assert f"unrecognized arguments: {' '.join(argv)}" in err
+
 
 class TestKernel:
     def test_values_and_consistency(self, capsys):
@@ -199,6 +234,12 @@ class TestKernel:
         code, _, err = run(capsys, "kernel", "-m", "0:1",
                            "--z", "1.5,0.0", "--lam", "0.1,0.0")
         assert code == 2 and "|z| < 1" in err
+
+    def test_missing_measure_file(self, capsys, tmp_path):
+        code, out, err = run(capsys, "kernel", "-m", f"@{tmp_path / 'none.json'}",
+                             "--z", "0.3,0.1", "--lam", "0,0")
+        assert code == 2 and out == ""
+        assert "error [ParseError]: cannot read measure file" in err
 
     @pytest.mark.parametrize("z, lam", [("nan,0", "0,0"), ("0,0", "0,inf")])
     def test_rejects_non_finite_points(self, capsys, z, lam):

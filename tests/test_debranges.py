@@ -3,10 +3,26 @@ import numpy as np
 import pytest
 
 from cdsp import numerics as nx
-from cdsp.debranges import (eval_S, eval_S_from_P, extract_C, factor_P,
-                            kernel_KB, make_schur, schur_sup_bound)
+from cdsp.debranges import eval_S, extract_C, factor_P, kernel_KB, make_schur
 from cdsp.dirichlet import kernel_full
 from conftest import ALPHA_CONST, B_CONST, W_CONST, X_CONST
+
+
+def eval_S_from_P(P: np.ndarray, z, u):
+    """S from its factor: sum over the rows p_r of P of p_r(z) conj(p_r(u))."""
+    k = P.shape[0]
+    zp = np.array([np.asarray(z, dtype=complex) ** m for m in range(1, k + 1)])
+    up = np.array([np.asarray(u, dtype=complex) ** m for m in range(1, k + 1)])
+    pz = np.tensordot(P, zp, axes=(1, 0))
+    pu = np.tensordot(P, up, axes=(1, 0))
+    return np.sum(pz * np.conj(pu), axis=0)
+
+
+def schur_sup_bound(sd, radius: float = 0.999, n: int = 512) -> float:
+    """Sampled sup of ||B(z)|| on the circle of the given radius."""
+    zs = radius * np.exp(2j * np.pi * np.arange(n) / n)
+    vals = [np.sqrt(np.sum(np.abs(sd.eval_components(z)) ** 2)) for z in zs]
+    return float(np.max(vals))
 
 
 def closed_form_S_mp():

@@ -118,16 +118,16 @@ class TestVerifyIdentity:
     def test_three_point(self):
         m = parse_measure("0,1/3,2/3:1,1,1")
         fr = factorize(build_trig(m))
-        assert verify_identity(m, fr) <= 1e-9
+        assert verify_identity(build_trig(m), fr) <= 1e-9
 
     def test_single_atom(self):
         m = parse_measure("0:1")
         fr = factorize(build_trig(m))
-        assert verify_identity(m, fr) <= 1e-12
+        assert verify_identity(build_trig(m), fr) <= 1e-12
 
     def test_detects_corrupted_constant(self):
         from cdsp.fejer import FejerRiesz
         m = parse_measure("0:1")
         fr = factorize(build_trig(m))
         bad = FejerRiesz(fr.alphas, fr.d * 1.01)
-        assert verify_identity(m, bad) > 5e-3
+        assert verify_identity(build_trig(m), bad) > 5e-3

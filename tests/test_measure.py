@@ -44,6 +44,18 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_measure(bad)
 
+    @pytest.mark.parametrize("doc", [
+        {"atoms": [{"turns": "0", "weight": "x"}]},
+        {"atoms": [{"angle": "a", "weight": 1}]},
+        {"atoms": [{"point": {"re": "a", "im": 0}, "weight": 1}]},
+        {"atoms": [{"point": [1, 0], "weight": 1}]},
+        {"atoms": [1, 2]},
+        {"atoms": 5},
+    ])
+    def test_malformed_json_fields(self, doc):
+        with pytest.raises(ParseError):
+            parse_measure(json.dumps(doc))
+
     def test_duplicate_points(self):
         with pytest.raises(ValidationError):
             parse_measure("0,0:1,1")

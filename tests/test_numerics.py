@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cdsp import numerics as nx
-from cdsp.errors import NonConvergence, NotARoot, NotPSD, Singular
+from cdsp.errors import NotARoot, NotPSD, Singular
+from cdsp.report import closed_form_constants
 
-B = (11.0 + 3.0 * np.sqrt(13.0)) / 2.0
+B = closed_form_constants()["b"]
 
 
 class TestPolyEval:
@@ -91,37 +92,6 @@ class TestSyntheticDivision:
     def test_not_a_root(self):
         with pytest.raises(NotARoot):
             nx.synthetic_division(np.array([1, 0, 1], dtype=complex), 0.5)
-
-
-class TestHermEigen:
-    def test_diagonal(self):
-        assert np.allclose(nx.herm_eigen(np.diag([1.0, 2.0, 3.0])), [1, 2, 3])
-
-    def test_reflection(self):
-        assert np.allclose(nx.herm_eigen(np.array([[0, 1], [1, 0]], dtype=complex)),
-                           [-1, 1])
-
-    def test_three_point_gram_determinant(self):
-        x = (np.sqrt(13.0) - 1.0) / 2.0
-        w = np.exp(2j * np.pi / 3)
-        s = 1.0 / (w - 1.0)
-        D = np.array([[x, s, np.conj(s)],
-                      [np.conj(s), x, s],
-                      [s, np.conj(s), x]])
-        ev = nx.herm_eigen(D)
-        assert np.prod(ev) == pytest.approx(x * (x * x - 1), rel=1e-9)
-
-    def test_trace_and_determinant_properties(self):
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            n = int(rng.integers(2, 9))
-            A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            A = A + A.conj().T
-            ev = nx.herm_eigen(A)
-            assert np.sum(ev) == pytest.approx(np.trace(A).real, rel=1e-10)
-            assert np.prod(ev) == pytest.approx(
-                np.linalg.det(A).real, rel=1e-8, abs=1e-8)
-            assert np.allclose(ev, np.linalg.eigvalsh(A), atol=1e-9)
 
 
 class TestCholesky:

@@ -7,13 +7,19 @@ from cdsp import parse_measure
 from cdsp.errors import Overflow
 from cdsp.oracle import (agler_forms, apply_mz, bn_dual_probe, bn_form,
                          cauchy_dual_matrix, dual_norm, gram_quadrature,
-                         monomial_gram, norm_sq, operator_norm_G, orbit_norms,
-                         shift_matrix)
+                         monomial_gram, norm_sq, orbit_norms, shift_matrix)
 from cdsp.policy import NumericPolicy
 from cdsp.report import run_oracle
 
 SPECS = ["0:1", "0,1/2:1,1", "0,1/3,2/3:1,1,1", "0,1/4:1,2"]
 EXACT_SPECS = ["0,1/3,2/3:1,1,1", "0,1/2:1,1"]
+
+
+def operator_norm_G(mm, A: np.ndarray) -> float:
+    """Operator norm with respect to the G inner product."""
+    R = np.linalg.cholesky(mm.G).conj().T  # G = R^H R
+    mid = R @ A @ np.linalg.inv(R)
+    return float(np.linalg.norm(mid, 2))
 
 
 # Reference evaluations: every order n recomputes T^k v and its norm from v,
