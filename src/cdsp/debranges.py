@@ -1,9 +1,15 @@
 """Hermitian form S(z,u) = sum_j p_j(z) conj(p_j(u)), its coefficient matrix,
 triangular factor, Schur function and kernel.
 
-S is assembled from the rational expansion with every (z - zeta_j) factor
-cancelled analytically, so it can be evaluated anywhere, including at the
-atoms and at the exterior roots.
+S is assembled from the rational expansion in the factors of the outer
+function O = p/q,
+
+    S(z,u) = q(z) conj(q(u)) - p(z) conj(p(u))
+             - (1 - z conj(u)) sum_{j,i} W[j,i] d_j(z) conj(d_i(u)),
+
+whose deflated numerators d_j = p/(z - zeta_j) are products that omit the
+factor (z - zeta_j) (``OuterData.parts``), so S can be evaluated anywhere,
+including at the atoms and at the exterior roots.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nx
-from .dirichlet import DirichletData
+from .dirichlet import DirichletData, OuterData
 from .errors import IllConditioned
 
 
@@ -27,7 +33,7 @@ class HermForm:
 @dataclass(frozen=True)
 class SchurData:
     P: np.ndarray
-    q: np.ndarray  # denominator polynomial, ascending coefficients
+    outer: OuterData  # its pole polynomial q is the denominator of B
 
     @property
     def k(self) -> int:
@@ -36,13 +42,7 @@ class SchurData:
     def eval_components(self, z):
         """Row vector B(z) = (p_1/q, ..., p_k/q)."""
         zp = np.array([z ** m for m in range(1, self.k + 1)], dtype=complex)
-        return (self.P @ zp) / nx.poly_eval(self.q, z)
-
-
-def _weight_matrix(dd: DirichletData) -> np.ndarray:
-    """W[j,i] = conj(B[j,i]) / (O'(zeta_j) conj(O'(zeta_i)))."""
-    op = dd.fprime_at_zeta
-    return np.conj(dd.B) / np.outer(op, np.conj(op))
+        return (self.P @ zp) / self.outer.parts(z)[0]
 
 
 def eval_S(dd: DirichletData, z, u):
@@ -51,16 +51,9 @@ def eval_S(dd: DirichletData, z, u):
     z = np.asarray(z, dtype=complex)
     u = np.asarray(u, dtype=complex)
     scalar = z.ndim == 0 and u.ndim == 0
-    p, q = dd.outer.p, dd.outer.q
-    k = dd.measure.k
-    W = _weight_matrix(dd)
-    qz = nx.poly_eval(q, z)
-    qu = nx.poly_eval(q, u)
-    pz = nx.poly_eval(p, z)
-    pu = nx.poly_eval(p, u)
-    dz = np.stack([np.atleast_1d(nx.poly_eval(dd.deflated[j], z)) for j in range(k)])
-    du = np.stack([np.atleast_1d(nx.poly_eval(dd.deflated[i], u)) for i in range(k)])
-    cross = np.einsum("ji,j...,i...->...", W, dz, np.conj(du))
+    qz, pz, dz = dd.outer.parts(z)
+    qu, pu, du = dd.outer.parts(u)
+    cross = np.einsum("ji,j...,i...->...", dd.W, dz, np.conj(du))
     out = qz * np.conj(qu) - pz * np.conj(pu) - (1.0 - z * np.conj(u)) * cross
     if scalar:
         return complex(np.asarray(out).reshape(-1)[0])
@@ -101,7 +94,7 @@ def factor_P(C: np.ndarray) -> np.ndarray:
 
 
 def make_schur(dd: DirichletData, hf: HermForm) -> SchurData:
-    return SchurData(hf.P, dd.outer.q)
+    return SchurData(hf.P, dd.outer)
 
 
 def kernel_KB(sd: SchurData, z: complex, w: complex) -> complex:

@@ -5,8 +5,9 @@ the exterior factorization roots; the basis functions
 
     f_j(z) = O(z) / (O'(zeta_j) (z - zeta_j))
 
-have a removable singularity at zeta_j, which is cancelled analytically by
-deflating p with synthetic division before any evaluation.
+have a removable singularity at zeta_j. O is held as its zeros, poles and
+one constant; ``OuterData.parts`` forms p/(z - zeta_j) as the product that
+omits the factor (z - zeta_j), so the cancellation is exact by construction.
 """
 
 from __future__ import annotations
@@ -23,12 +24,26 @@ from .measure import Measure
 
 @dataclass(frozen=True)
 class OuterData:
-    p: np.ndarray      # (e^{i theta}/sqrt(d)) prod (z - zeta_j), ascending coeffs
-    q: np.ndarray      # prod (z - alpha_j)
+    """O = p/q with p = c prod (z - zeta_l) and q = prod (z - alpha_r)."""
+    zetas: np.ndarray  # the atoms, zeros of O
+    alphas: np.ndarray  # the exterior factorization roots, poles of O
+    c: complex         # e^{i theta} / sqrt(d)
     theta: float
 
+    def parts(self, z):
+        """(q(z), p(z), p_j(z)) for z of any shape; p_j = c prod_{l != j}
+        (z - zeta_l) = p/(z - zeta_j) carries a leading axis of length k."""
+        z = np.asarray(z, dtype=complex)
+        lin = z[..., None] - self.zetas
+        omit = np.where(np.eye(len(self.zetas), dtype=bool), 1.0, lin[..., None, :])
+        q = np.prod(z[..., None] - self.alphas, axis=-1)
+        p = self.c * np.prod(lin, axis=-1)
+        pj = self.c * np.moveaxis(np.prod(omit, axis=-1), -1, 0)
+        return q, p, pj
+
     def eval(self, z):
-        return nx.poly_eval(self.p, z) / nx.poly_eval(self.q, z)
+        q, p, _ = self.parts(z)
+        return p / q
 
 
 @dataclass(frozen=True)
@@ -36,70 +51,61 @@ class DirichletData:
     measure: Measure
     outer: OuterData
     fprime_at_zeta: np.ndarray   # O'(zeta_j), nonzero
-    deflated: tuple              # deflated[j] = p / (z - zeta_j), exact division
     D: np.ndarray                # k x k Hermitian Gram of the f_j
     B: np.ndarray                # D^{-1}
+    W: np.ndarray                # W[j,i] = conj(B[j,i]) / (O'(zeta_j) conj(O'(zeta_i)))
     gram_asymmetry: float        # max |D - D^H| before Hermitianization
 
 
 def build_outer(m: Measure, fr: FejerRiesz) -> OuterData:
     """Normalize the phase so the outer function is positive at the origin."""
-    p_raw = nx.poly_from_roots(m.points)
-    q = nx.poly_from_roots(fr.alphas)
-    ratio = p_raw[0] / q[0]
+    zetas = np.array(m.points, dtype=complex)
+    ratio = np.prod(-zetas) / np.prod(-fr.alphas)
     theta = float(-np.angle(ratio))
     phase = np.exp(1j * theta)
     # snap to an exact real phase when the ratio is essentially real
     if abs(ratio.imag) <= 1e-12 * abs(ratio):
         phase = 1.0 if ratio.real > 0 else -1.0
         theta = 0.0 if ratio.real > 0 else float(np.pi)
-    p = (phase / np.sqrt(fr.d)) * p_raw
-    val0 = p[0] / q[0]
+    c = phase / np.sqrt(fr.d)
+    val0 = c * ratio
     assert abs(val0.imag) <= 1e-10 * abs(val0) and val0.real > 0
-    return OuterData(p, q, theta)
+    return OuterData(zetas, fr.alphas, c, theta)
 
 
 def build_dirichlet(m: Measure, fr: FejerRiesz) -> DirichletData:
     outer = build_outer(m, fr)
-    pts = np.array(m.points, dtype=complex)
-    wts = np.array(m.weights, dtype=float)
-    k = m.k
-    deflated = tuple(nx.synthetic_division(outer.p, z) for z in pts)
-    qz = nx.poly_eval(outer.q, pts)
-    fprime = np.array([nx.poly_eval(deflated[j], pts[j]) / qz[j] for j in range(k)])
+    pts, k = outer.zetas, m.k
+    qz, _, pj = outer.parts(pts)
+    fprime = np.diagonal(pj) / qz
     if np.any(np.abs(fprime) <= 1e-10):
         raise DegenerateAtom("outer derivative vanishes at an atom")
-    D = np.zeros((k, k), dtype=complex)
-    qprime = nx.poly_derivative(outer.q)
-    for i in range(k):
-        # f_i = u/q with u = deflated_i / O'(zeta_i); diagonal is c_i zeta_i f_i'(zeta_i)
-        u = deflated[i] / fprime[i]
-        du = nx.poly_derivative(u)
-        z = pts[i]
-        fp = (nx.poly_eval(du, z) * qz[i] - nx.poly_eval(u, z) * nx.poly_eval(qprime, z)) / qz[i] ** 2
-        D[i, i] = wts[i] * z * fp
-        for j in range(k):
-            if j != i:
-                D[i, j] = 1.0 / (fprime[i] * np.conj(fprime[j]) * (1.0 - z * np.conj(pts[j])))
+    # f_i(zeta_i) = 1, so f_i'(zeta_i) is the logarithmic derivative of
+    # prod_{l != i} (z - zeta_l) / q at zeta_i
+    inv = 1.0 / np.where(np.eye(k, dtype=bool), np.inf, pts[:, None] - pts[None, :])
+    fp = inv.sum(axis=1) - np.sum(1.0 / (pts[:, None] - outer.alphas[None, :]), axis=1)
+    off = np.outer(fprime, np.conj(fprime)) * (1.0 - np.outer(pts, np.conj(pts)))
+    D = (1.0 / np.where(np.eye(k, dtype=bool), np.inf, off)
+         + np.diag(np.array(m.weights) * pts * fp))
     asym = float(np.max(np.abs(D - D.conj().T)))
     D = 0.5 * (D + D.conj().T)
     B = nx.solve_linear(D, np.eye(k, dtype=complex))
-    return DirichletData(m, outer, fprime, deflated, D, B, asym)
+    W = np.conj(B) / np.outer(fprime, np.conj(fprime))
+    return DirichletData(m, outer, fprime, D, B, W, asym)
 
 
 def eval_f(dd: DirichletData, j: int, z) -> complex:
-    """Basis function f_j evaluated through its deflated polynomial; finite
+    """Basis function f_j evaluated through its deflated numerator; finite
     at z = zeta_j, raises PoleHit at the poles of the outer function."""
-    qv = nx.poly_eval(dd.outer.q, z)
+    qv, _, pj = dd.outer.parts(z)
     if np.min(np.abs(np.atleast_1d(qv))) < 1e-13:
         raise PoleHit("evaluation at a pole of the outer function")
-    return nx.poly_eval(dd.deflated[j], z) / (dd.fprime_at_zeta[j] * qv)
+    return pj[j] / (dd.fprime_at_zeta[j] * qv)
 
 
 def eval_f_vector(dd: DirichletData, z) -> np.ndarray:
-    qv = nx.poly_eval(dd.outer.q, z)
-    return np.array([nx.poly_eval(dd.deflated[j], z) for j in range(dd.measure.k)]) \
-        / (dd.fprime_at_zeta * qv)
+    qv, _, pj = dd.outer.parts(z)
+    return pj / (dd.fprime_at_zeta * qv)
 
 
 def kernel_omu(dd: DirichletData, z: complex, lam: complex) -> complex:

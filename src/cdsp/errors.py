@@ -13,6 +13,10 @@ class NotARoot(CdspError):
     """Synthetic division attempted at a point that is not a root."""
 
 
+class IdentityResidual(CdspError):
+    """The spectral factor misses the factorization identity by more than the policy's identity_tol."""
+
+
 class NotPSD(CdspError):
     """A matrix required to be positive semidefinite has a significantly negative pivot."""
 

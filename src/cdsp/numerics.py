@@ -45,14 +45,6 @@ def poly_derivative(p) -> np.ndarray:
     return p[1:] * np.arange(1, len(p), dtype=complex)
 
 
-def poly_from_roots(roots) -> np.ndarray:
-    """Monic polynomial with the given roots."""
-    p = np.ones(1, dtype=complex)
-    for r in roots:
-        p = np.convolve(p, np.array([-r, 1.0], dtype=complex))
-    return p
-
-
 def _poly_scale_at(p: np.ndarray, z: complex) -> float:
     """Magnitude scale of p near z, for residual normalization."""
     az = abs(z)

@@ -11,6 +11,7 @@ from typing import Optional
 import numpy as np
 
 from . import debranges, dirichlet, fejer, oracle, verdict as vd
+from .errors import IdentityResidual
 from .measure import Measure, parse_measure, rotate_measure
 from .policy import NumericPolicy
 
@@ -43,6 +44,9 @@ class PipelineResult:
         self.trig = fejer.build_trig(m)
         self.fr = fejer.factorize(self.trig, root_tol=policy.root_tol)
         self.identity_residual = fejer.verify_identity(self.trig, self.fr)
+        if not self.identity_residual <= policy.identity_tol:
+            raise IdentityResidual(f"factorization identity residual {self.identity_residual:.3e}"
+                                   f" exceeds identity_tol {policy.identity_tol:g}")
         self.dd = dirichlet.build_dirichlet(m, self.fr)
         self.hf = debranges.extract_C(self.dd)
         self.sd = debranges.make_schur(self.dd, self.hf)

@@ -1,4 +1,6 @@
+import numpy as np
 import pytest
+from hypothesis import assume, strategies as st
 
 from cdsp import (NumericPolicy, build_dirichlet, build_trig, extract_C,
                   factorize, parse_measure)
@@ -43,3 +45,14 @@ B_CONST = _REF["b"]
 ALPHA_CONST = _REF["alpha"]
 X_CONST = _REF["x"]
 W_CONST = _REF["w"]
+
+
+@st.composite
+def random_measures(draw):
+    """k = 2..5 atoms at n/997 turns, chords >= 0.1, weights in [0.25, 4]."""
+    k = draw(st.integers(2, 5))
+    n = sorted(draw(st.lists(st.integers(0, 996), min_size=k, max_size=k, unique=True)))
+    gaps = np.diff(n + [n[0] + 997]) / 997
+    assume(2.0 * np.sin(np.pi * gaps.min()) >= 0.1)
+    w = draw(st.lists(st.floats(0.25, 4.0), min_size=k, max_size=k))
+    return ",".join(f"{x}/997" for x in n) + ":" + ",".join(repr(x) for x in w)

@@ -101,6 +101,14 @@ class TestAnalyze:
         assert code == 2 and out == ""
         assert "error [PolicyError]:" in err and key in err
 
+    def test_identity_tolerance_is_enforced(self, capsys, tmp_path):
+        pol = tmp_path / "p.json"
+        pol.write_text(json.dumps({"identity_tol": 1e-30}))
+        code, out, err = run(capsys, "analyze", "-m", "0,1/3,2/3:1,1,1",
+                             "--policy", f"@{pol}")
+        assert code == 2 and out == ""
+        assert "error [IdentityResidual]:" in err and "1e-30" in err
+
     def test_missing_measure_file(self, capsys, tmp_path):
         code, out, err = run(capsys, "analyze", "-m", f"@{tmp_path / 'none.json'}")
         assert code == 2 and out == ""

@@ -1,11 +1,13 @@
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 
-from cdsp import numerics as nx
+from cdsp import build_dirichlet, build_trig, factorize, parse_measure
 from cdsp.debranges import eval_S, extract_C, factor_P, kernel_KB, make_schur
 from cdsp.dirichlet import kernel_full
-from conftest import ALPHA_CONST, B_CONST, W_CONST, X_CONST
+from cdsp.errors import CdspError
+from conftest import ALPHA_CONST, B_CONST, W_CONST, X_CONST, random_measures
 
 
 def eval_S_from_P(P: np.ndarray, z, u):
@@ -37,6 +39,28 @@ def closed_form_S_mp():
     return b, x, (c1, c2, c3)
 
 
+def eval_S_mp(dd, d, z, u):
+    """S(z,u) at mpmath's working precision from the pipeline's atoms,
+    exterior roots, d and inverse Gram B; the phase of O cancels in S."""
+    zetas = [mp.mpc(x) for x in dd.outer.zetas]
+    alphas = [mp.mpc(x) for x in dd.outer.alphas]
+    k, c = len(zetas), 1 / mp.sqrt(mp.mpf(d))
+
+    def parts(x):
+        q = mp.fprod(x - a for a in alphas)
+        pj = [c * mp.fprod(x - zl for l, zl in enumerate(zetas) if l != j)
+              for j in range(k)]
+        return q, c * mp.fprod(x - zl for zl in zetas), pj
+
+    op = [parts(zj)[2][j] / parts(zj)[0] for j, zj in enumerate(zetas)]
+    z, u = mp.mpc(z), mp.mpc(u)
+    qz, pz, dz = parts(z)
+    qu, pu, du = parts(u)
+    cross = mp.fsum(mp.conj(mp.mpc(dd.B[j, i])) / (op[j] * mp.conj(op[i]))
+                    * dz[j] * mp.conj(du[i]) for j in range(k) for i in range(k))
+    return qz * mp.conj(qu) - pz * mp.conj(pu) - (1 - z * mp.conj(u)) * cross
+
+
 class TestEvalS:
     def test_vanishes_on_diagonal_u_zero(self, pipes):
         for pipe in pipes.values():
@@ -62,6 +86,23 @@ class TestEvalS:
             expect = c3 * t ** 3 + c2 * t ** 2 + c1 * t
             got = eval_S(three_point.dd, complex(zz), complex(uu))
             assert abs(got - complex(expect)) < 1e-8 * max(1.0, abs(complex(expect)))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(random_measures())
+    def test_matches_high_precision_on_random_measures(self, spec):
+        try:
+            m = parse_measure(spec)
+            fr = factorize(build_trig(m))
+            dd = build_dirichlet(m, fr)
+        except CdspError:
+            assume(False)
+        disc = np.array([0.0, 0.5, -0.3 + 0.6j, 0.7j - 0.2])
+        mp.mp.dps = 40
+        for pts in (fr.alphas, disc):
+            got = eval_S(dd, pts[:, None], pts[None, :])
+            want = np.array([[complex(eval_S_mp(dd, fr.d, a, b)) for b in pts]
+                             for a in pts])
+            assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
     def test_magnitude_at_adjacent_exterior_roots(self, three_point):
         # |S(alpha, alpha w)| ~ 2.158e2

@@ -1,16 +1,22 @@
 import numpy as np
 import pytest
 
-from cdsp import (build_dirichlet, build_outer, build_trig, eval_f, factorize,
-                  kernel_full, kernel_omu, kernel_perp, parse_measure)
+from cdsp import (build_dirichlet, build_outer, build_trig, eval_f, eval_S,
+                  factorize, kernel_full, kernel_omu, kernel_perp, parse_measure)
+from cdsp import numerics as nx
 from cdsp.errors import PoleHit
 from cdsp.oracle import monomial_gram
 from conftest import ALPHA_CONST, B_CONST, W_CONST, X_CONST
 
 
+def ascending(roots) -> np.ndarray:
+    """Monic polynomial with the given roots, ascending coefficients."""
+    return np.atleast_1d(np.poly(roots))[::-1].astype(complex)
+
+
 def taylor_coeffs(dd, j, deg):
-    """Series of f_j = deflated_j / (O'(zeta_j) q) up to the given degree."""
-    q = dd.outer.q
+    """Series of f_j = p_j / (O'(zeta_j) q) up to the given degree."""
+    q = ascending(dd.outer.alphas)
     inv = np.zeros(deg + 1, dtype=complex)
     inv[0] = 1.0 / q[0]
     for n in range(1, deg + 1):
@@ -18,8 +24,69 @@ def taylor_coeffs(dd, j, deg):
         for i in range(1, min(n, len(q) - 1) + 1):
             acc += q[i] * inv[n - i]
         inv[n] = -acc / q[0]
-    num = dd.deflated[j] / dd.fprime_at_zeta[j]
+    pj = dd.outer.c * ascending(np.delete(dd.outer.zetas, j))
+    num = pj / dd.fprime_at_zeta[j]
     return np.convolve(num, inv)[: deg + 1]
+
+
+def coefficient_reference(dd):
+    """The coefficient path the product form replaced: p and q multiplied
+    out, p deflated by synthetic division at each atom, O' and the Gram
+    diagonal by the quotient rule, S by Horner evaluation. Returns
+    (O'(zeta_j), D, eval_S)."""
+    outer, k = dd.outer, dd.measure.k
+    pts, wts = outer.zetas, np.array(dd.measure.weights)
+    p = outer.c * ascending(pts)
+    q = ascending(outer.alphas)
+    deflated = [nx.synthetic_division(p, z) for z in pts]
+    qz = nx.poly_eval(q, pts)
+    fprime = np.array([nx.poly_eval(deflated[j], pts[j]) / qz[j] for j in range(k)])
+    qprime = nx.poly_derivative(q)
+    D = np.zeros((k, k), dtype=complex)
+    for i in range(k):
+        u = deflated[i] / fprime[i]
+        du = nx.poly_derivative(u)
+        z = pts[i]
+        fp = (nx.poly_eval(du, z) * qz[i]
+              - nx.poly_eval(u, z) * nx.poly_eval(qprime, z)) / qz[i] ** 2
+        D[i, i] = wts[i] * z * fp
+        for j in range(k):
+            if j != i:
+                D[i, j] = 1.0 / (fprime[i] * np.conj(fprime[j])
+                                 * (1.0 - z * np.conj(pts[j])))
+    D = 0.5 * (D + D.conj().T)
+    W = np.conj(np.linalg.inv(D)) / np.outer(fprime, np.conj(fprime))
+
+    def eval_S(z, u):
+        dz = np.array([nx.poly_eval(deflated[j], z) for j in range(k)])
+        du = np.array([nx.poly_eval(deflated[i], u) for i in range(k)])
+        cross = dz @ W @ np.conj(du)
+        return (nx.poly_eval(q, z) * np.conj(nx.poly_eval(q, u))
+                - nx.poly_eval(p, z) * np.conj(nx.poly_eval(p, u))
+                - (1.0 - z * np.conj(u)) * cross)
+
+    return fprime, D, eval_S
+
+
+def seeded_random_specs(seed, ks):
+    """Atoms at n/997 turns with chords >= 0.1, log-uniform weights in [0.25, 4]."""
+    rng = np.random.default_rng(seed)
+    specs = []
+    for k in ks:
+        while True:
+            n = np.sort(rng.choice(997, size=k, replace=False))
+            gaps = np.diff(np.r_[n, n[0] + 997]) / 997
+            if 2.0 * np.sin(np.pi * gaps.min()) >= 0.1:
+                break
+        w = np.exp(rng.uniform(np.log(0.25), np.log(4.0), k))
+        specs.append(",".join(f"{x}/997" for x in n) + ":"
+                     + ",".join(f"{x:.6g}" for x in w))
+    return specs
+
+
+REFERENCE_SPECS = (["0,1/3,2/3:1,1,1", "0,1/2:1,1", "0,1/4:1,1",
+                    ",".join(f"{i}/8" for i in range(8)) + ":" + ",".join(["1"] * 8)]
+                   + seeded_random_specs(5, (2, 3, 4, 5, 6, 7, 8)))
 
 
 class TestOuter:
@@ -183,3 +250,18 @@ class TestKernels:
         f1l = eval_f(dd, 0, lam)
         expect = f1z * np.conj(f1l) / dd.D[0, 0].real
         assert kernel_perp(dd, z, lam) == pytest.approx(expect, rel=1e-10)
+
+
+class TestCoefficientReference:
+    @pytest.mark.parametrize("spec", REFERENCE_SPECS)
+    def test_product_form_matches_coefficient_path(self, spec):
+        m = parse_measure(spec)
+        fr = factorize(build_trig(m))
+        dd = build_dirichlet(m, fr)
+        fprime, D, ref_S = coefficient_reference(dd)
+        scale = np.max(np.abs(dd.D))
+        assert np.max(np.abs(dd.fprime_at_zeta - fprime)) <= 1e-10 * scale
+        assert np.max(np.abs(dd.D - D)) <= 1e-10 * scale
+        got = eval_S(dd, fr.alphas[:, None], fr.alphas[None, :])
+        want = np.array([[ref_S(a, b) for b in fr.alphas] for a in fr.alphas])
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))

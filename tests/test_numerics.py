@@ -64,7 +64,7 @@ class TestRoots:
         if len(roots) > 1:
             diff = np.abs(roots[:, None] - roots[None, :]) + np.eye(len(roots))
             assume(np.min(diff) > 0.05)  # well-separated: conditioning stays sane
-        p = nx.poly_from_roots(roots)
+        p = np.poly(roots)[::-1]
         got = nx.poly_roots(p, tol=1e-13)
         # match greedily; clustered roots may swap, so compare as multisets
         rem = list(got)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, given, settings
 
 from cdsp import build_dirichlet, build_trig, extract_C, factorize, rotate_measure
 from cdsp.debranges import eval_S
@@ -13,7 +13,7 @@ from cdsp.verdict import (INCONCLUSIVE, NOT_SUBNORMAL, SUBNORMAL_NUMERIC,
                           PairEvidence, PsdProbe, decide, moment_truncation, offdiag_sums,
                           pair_premises, psd_search, root_values)
 from cdsp.verdict import _log_products
-from conftest import Pipe
+from conftest import Pipe, random_measures
 
 EQUI8 = ",".join(f"{i}/8" for i in range(8)) + ":" + ",".join(["1"] * 8)
 
@@ -65,17 +65,6 @@ def per_order_decide(fr, s_eval, policy, exhaustive):
         if probes[-1].min_eig < -policy.psd_tol * max(abs(tr), 1e-300) and not exhaustive:
             break
     return evidence, float(max(norms) if norms else 0.0), probes
-
-
-@st.composite
-def random_measures(draw):
-    """k = 2..5 atoms at n/997 turns, chords >= 0.1, weights in [0.25, 4]."""
-    k = draw(st.integers(2, 5))
-    n = sorted(draw(st.lists(st.integers(0, 996), min_size=k, max_size=k, unique=True)))
-    gaps = np.diff(n + [n[0] + 997]) / 997
-    assume(2.0 * np.sin(np.pi * gaps.min()) >= 0.1)
-    w = draw(st.lists(st.floats(0.25, 4.0), min_size=k, max_size=k))
-    return ",".join(f"{x}/997" for x in n) + ":" + ",".join(repr(x) for x in w)
 
 
 class TestPremises:
