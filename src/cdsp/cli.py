@@ -10,8 +10,6 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 
-import numpy as np
-
 from . import debranges, dirichlet
 from .errors import CdspError, ParseError, PolicyError
 from .measure import parse_measure

@@ -16,6 +16,10 @@ class NotARoot(CdspError):
 class IdentityResidual(CdspError):
     """The spectral factor misses the factorization identity by more than the policy's identity_tol."""
 
+    def __init__(self, residual: float, tol: float):
+        super().__init__(f"factorization identity residual {residual:.3e} exceeds identity_tol {tol:g}")
+        self.residual, self.tol = residual, tol
+
 
 class NotPSD(CdspError):
     """A matrix required to be positive semidefinite has a significantly negative pivot."""

@@ -2,16 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, strategies as st
 
-from cdsp import (NumericPolicy, build_dirichlet, build_trig, extract_C,
-                  factorize, parse_measure)
+from cdsp import NumericPolicy, build_dirichlet, extract_C, factorize, parse_measure
 from cdsp.report import closed_form_constants
 
 
 class Pipe:
     def __init__(self, spec):
         self.measure = parse_measure(spec)
-        self.trig = build_trig(self.measure)
-        self.fr = factorize(self.trig)
+        self.fr = factorize(self.measure)
         self.dd = build_dirichlet(self.measure, self.fr)
         self.hf = extract_C(self.dd)
 
@@ -48,9 +46,9 @@ W_CONST = _REF["w"]
 
 
 @st.composite
-def random_measures(draw):
-    """k = 2..5 atoms at n/997 turns, chords >= 0.1, weights in [0.25, 4]."""
-    k = draw(st.integers(2, 5))
+def random_measures(draw, k_max=5):
+    """k = 2..k_max atoms at n/997 turns, chords >= 0.1, weights in [0.25, 4]."""
+    k = draw(st.integers(2, k_max))
     n = sorted(draw(st.lists(st.integers(0, 996), min_size=k, max_size=k, unique=True)))
     gaps = np.diff(n + [n[0] + 997]) / 997
     assume(2.0 * np.sin(np.pi * gaps.min()) >= 0.1)

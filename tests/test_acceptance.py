@@ -57,7 +57,7 @@ class Criterion:
 
 def pipeline(spec):
     m = parse_measure(spec) if isinstance(spec, str) else spec
-    fr = factorize(build_trig(m))
+    fr = factorize(m)
     dd = build_dirichlet(m, fr)
     extract_C(dd)
     return m, fr, dd
@@ -70,7 +70,7 @@ def test_criterion_1_factorization_regression():
         assert abs(t.coeff(3) + 1.0) <= 1e-12
         assert abs(t.coeff(-3) + 1.0) <= 1e-12
         assert max(abs(t.coeff(mm)) for mm in (-2, -1, 1, 2)) <= 1e-12
-        fr = factorize(t)
+        fr = factorize(parse_measure(THREE))
         assert np.max(np.abs(fr.alphas ** 3 - B)) <= 1e-10 * B
         assert abs(fr.d * B - 1.0) <= 1e-10
 
@@ -162,7 +162,7 @@ def test_criterion_6_kernel_equality():
         rng = np.random.default_rng(123)
         for spec in MEASURES:
             m = parse_measure(spec)
-            fr = factorize(build_trig(m))
+            fr = factorize(m)
             dd = build_dirichlet(m, fr)
             sd = make_schur(dd, extract_C(dd))
             for _ in range(50):

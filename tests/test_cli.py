@@ -164,6 +164,19 @@ class TestPaperCheck:
         assert statuses["factorization_identity"] == "PASS"
         assert statuses["verdict_not_subnormal"] == "PASS"
 
+    def test_identity_failure_is_reported(self, capsys, monkeypatch):
+        from cdsp import fejer
+        monkeypatch.setattr(fejer, "verify_identity", lambda m, fr: 1e-6)
+        code, out, err = run(capsys, "paper-check")
+        assert code == 1
+        items = {it["name"]: it for it in json.loads(out)["items"]}
+        assert len(items) == 13
+        assert items["factorization_identity"]["status"] == "FAIL"
+        assert items["factorization_identity"]["detail"] == "residual=1e-06"
+        assert all(it["status"] == "PASS" for name, it in items.items()
+                   if name != "factorization_identity")
+        assert "FAIL  factorization_identity" in err
+
     def test_invalid_weights_exit_code(self, capsys):
         # exit 1 means a failed regression check; invalid input is exit 2
         code, out, err = run(capsys, "paper-check", "--weights", "0,1,1")

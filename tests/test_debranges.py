@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 
-from cdsp import build_dirichlet, build_trig, factorize, parse_measure
+from cdsp import build_dirichlet, factorize, parse_measure
 from cdsp.debranges import eval_S, extract_C, factor_P, kernel_KB, make_schur
 from cdsp.dirichlet import kernel_full
 from cdsp.errors import CdspError
@@ -92,7 +92,7 @@ class TestEvalS:
     def test_matches_high_precision_on_random_measures(self, spec):
         try:
             m = parse_measure(spec)
-            fr = factorize(build_trig(m))
+            fr = factorize(m)
             dd = build_dirichlet(m, fr)
         except CdspError:
             assume(False)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cdsp import (build_dirichlet, build_outer, build_trig, eval_f, eval_S,
+from cdsp import (build_dirichlet, build_outer, eval_f, eval_S,
                   factorize, kernel_full, kernel_omu, kernel_perp, parse_measure)
 from cdsp import numerics as nx
 from cdsp.errors import PoleHit
@@ -92,7 +92,7 @@ REFERENCE_SPECS = (["0,1/3,2/3:1,1,1", "0,1/2:1,1", "0,1/4:1,1",
 class TestOuter:
     def test_three_point_form(self):
         m = parse_measure("0,1/3,2/3:1,1,1")
-        fr = factorize(build_trig(m))
+        fr = factorize(m)
         od = build_outer(m, fr)
         sqrt_d = np.sqrt(fr.d)
         # O(z) = (z^3 - 1)/(sqrt(d) (z^3 - b)) with zero phase
@@ -103,7 +103,7 @@ class TestOuter:
 
     def test_single_atom_positive_at_origin(self):
         m = parse_measure("0:1")
-        fr = factorize(build_trig(m))
+        fr = factorize(m)
         od = build_outer(m, fr)
         v0 = od.eval(0.0)
         assert v0.imag == pytest.approx(0.0, abs=1e-12)
@@ -113,7 +113,7 @@ class TestOuter:
                                       "0,1/4:1,2"])
     def test_vanishes_at_atoms(self, spec):
         m = parse_measure(spec)
-        od = build_outer(m, factorize(build_trig(m)))
+        od = build_outer(m, factorize(m))
         for zeta in m.points:
             assert abs(od.eval(zeta)) < 1e-10
 
@@ -256,7 +256,7 @@ class TestCoefficientReference:
     @pytest.mark.parametrize("spec", REFERENCE_SPECS)
     def test_product_form_matches_coefficient_path(self, spec):
         m = parse_measure(spec)
-        fr = factorize(build_trig(m))
+        fr = factorize(m)
         dd = build_dirichlet(m, fr)
         fprime, D, ref_S = coefficient_reference(dd)
         scale = np.max(np.abs(dd.D))

@@ -2,10 +2,29 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from cdsp import build_trig, factorize, parse_measure, rotate_measure, verify_identity
-from cdsp.errors import RootOnCircle
-from conftest import ALPHA_CONST, B_CONST
+from cdsp import (NumericPolicy, PipelineResult, build_trig, factorize, parse_measure,
+                  rotate_measure, verify_identity)
+from cdsp.errors import IdentityResidual, RootOnCircle
+from conftest import ALPHA_CONST, B_CONST, random_measures
+
+
+def equi(k):
+    return ",".join(f"{i}/{k}" for i in range(k)) + ":" + ",".join(["1"] * k)
+
+
+def coefficient_roots(m):
+    """Independent reference: the exterior roots of the Laurent coefficients
+    of T, taken by numpy's companion-matrix solver."""
+    roots = np.roots(build_trig(m).t[::-1])
+    return roots[np.abs(roots) > 1.0]
+
+
+def nearest_gap(got, want):
+    """Largest relative distance from a root in ``want`` to its nearest in ``got``."""
+    gaps = np.abs(want[:, None] - got[None, :]).min(axis=1) / np.abs(want)
+    return float(gaps.max())
 
 
 def sampled_coefficients(m, k):
@@ -64,26 +83,26 @@ class TestBuildTrig:
         for mm in range(1, m.k + 1):
             assert t.coeff(-mm) == pytest.approx(np.conj(t.coeff(mm)), abs=1e-12)
         zs = np.exp(2j * np.pi * np.arange(64) / 64)
-        vals = t.eval_circle(zs)
+        vals = sum(t.coeff(mm) * zs ** mm for mm in range(-m.k, m.k + 1))
         assert np.max(np.abs(vals.imag)) < 1e-10
         assert np.min(vals.real) > 0
 
 
 class TestFactorize:
     def test_three_point(self):
-        fr = factorize(build_trig(parse_measure("0,1/3,2/3:1,1,1")))
+        fr = factorize(parse_measure("0,1/3,2/3:1,1,1"))
         assert np.allclose(np.abs(fr.alphas), ALPHA_CONST, atol=1e-9)
         cubes = fr.alphas ** 3
         assert np.allclose(cubes, B_CONST, atol=1e-8)
         assert fr.d * B_CONST == pytest.approx(1.0, rel=1e-10)
 
     def test_single_atom(self):
-        fr = factorize(build_trig(parse_measure("0:1")))
+        fr = factorize(parse_measure("0:1"))
         assert fr.alphas[0] == pytest.approx((3 + np.sqrt(5)) / 2, rel=1e-10)
         assert fr.d == pytest.approx((3 - np.sqrt(5)) / 2, rel=1e-10)
 
     def test_antipodal(self):
-        fr = factorize(build_trig(parse_measure("0,1/2:1,1")))
+        fr = factorize(parse_measure("0,1/2:1,1"))
         assert sorted(np.round(fr.alphas.real, 9)) == pytest.approx(
             [-(1 + np.sqrt(2)), 1 + np.sqrt(2)])
         assert fr.d == pytest.approx(1 / (3 + 2 * np.sqrt(2)), rel=1e-10)
@@ -91,43 +110,91 @@ class TestFactorize:
     def test_exactly_k_exterior_roots(self):
         for spec in ("0:1", "0,1/2:1,1", "0,1/3,2/3:1,1,1", "0,1/5,1/2:1,2,3"):
             m = parse_measure(spec)
-            fr = factorize(build_trig(m))
+            fr = factorize(m)
             assert len(fr.alphas) == m.k
             assert np.min(np.abs(fr.alphas)) > 1 + 1e-8
             assert fr.d > 0
 
     def test_rotation_equivariance(self):
         m = parse_measure("0,1/3,2/3:1,2,0.5")
-        fr = factorize(build_trig(m))
+        fr = factorize(m)
         phase = np.exp(2j * np.pi / 7)
-        fr_rot = factorize(build_trig(rotate_measure(m, Fraction(1, 7))))
+        fr_rot = factorize(rotate_measure(m, Fraction(1, 7)))
         rotated = sorted(fr.alphas * phase, key=np.angle)
         got = sorted(fr_rot.alphas, key=np.angle)
         assert np.allclose(rotated, got, atol=1e-9)
         assert fr_rot.d == pytest.approx(fr.d, rel=1e-9)
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(random_measures(k_max=8))
+    def test_matches_coefficient_roots(self, spec):
+        m = parse_measure(spec)
+        fr = factorize(m)
+        ref = coefficient_roots(m)
+        assert len(ref) == m.k
+        assert nearest_gap(fr.alphas, ref) <= 1e-8
+        assert nearest_gap(ref, fr.alphas) <= 1e-8
+        assert verify_identity(m, fr) <= 1e-11
+
     def test_root_on_circle_rejected(self):
-        # the zero-weight limit |z-1|^2 has its double root exactly on the circle
-        from cdsp.fejer import TrigPoly
-        t = TrigPoly(1, np.array([-1.0, 2.0, -1.0], dtype=complex))
+        # weight 1e-14 puts the roots of |z-1|^2 + 1e-14 about 1e-7 either side of the circle
         with pytest.raises(RootOnCircle):
-            factorize(t)
+            factorize(parse_measure("0:1e-14"))
+
+
+class TestEquiSpaced:
+    @pytest.mark.parametrize("k", range(3, 25))
+    def test_decides_not_subnormal(self, k):
+        res = PipelineResult(parse_measure(equi(k)), NumericPolicy())
+        assert res.verdict.decision == "NotSubnormal"
+        assert res.identity_residual <= 1e-12
+
+    @pytest.mark.parametrize("k", [2, 3, 6, 8, 12])
+    def test_sorted_by_angle_from_zero(self, k):
+        # alpha_j = alpha_0 e^{2 pi i j/k}: signed-zero imaginary parts must not
+        # move the root at angle pi (or 0) to the other end of the order
+        alphas = factorize(parse_measure(equi(k))).alphas
+        want = abs(alphas[0]) * np.exp(2j * np.pi * np.arange(k) / k)
+        assert np.allclose(alphas, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("k", [16, 24])
+    def test_rotation_equivariance(self, k):
+        m = parse_measure(equi(k))
+        fr = factorize(m)
+        fr_rot = factorize(rotate_measure(m, Fraction(1, 7 * k)))
+        rotated = fr.alphas * np.exp(2j * np.pi / (7 * k))
+        assert nearest_gap(fr_rot.alphas, rotated) <= 1e-9
+        assert nearest_gap(rotated, fr_rot.alphas) <= 1e-9
+        assert fr_rot.d == pytest.approx(fr.d, rel=1e-9)
 
 
 class TestVerifyIdentity:
     def test_three_point(self):
         m = parse_measure("0,1/3,2/3:1,1,1")
-        fr = factorize(build_trig(m))
-        assert verify_identity(build_trig(m), fr) <= 1e-9
+        fr = factorize(m)
+        assert verify_identity(m, fr) <= 1e-9
 
     def test_single_atom(self):
         m = parse_measure("0:1")
-        fr = factorize(build_trig(m))
-        assert verify_identity(build_trig(m), fr) <= 1e-12
+        fr = factorize(m)
+        assert verify_identity(m, fr) <= 1e-12
 
     def test_detects_corrupted_constant(self):
         from cdsp.fejer import FejerRiesz
         m = parse_measure("0:1")
-        fr = factorize(build_trig(m))
+        fr = factorize(m)
         bad = FejerRiesz(fr.alphas, fr.d * 1.01)
-        assert verify_identity(build_trig(m), bad) > 5e-3
+        assert verify_identity(m, bad) > 5e-3
+
+    def test_finite_at_the_atoms(self):
+        from cdsp.fejer import trig_values
+        m = parse_measure("0,1/4,1/2:1,2,0.5")
+        # at an atom only the term that omits it survives: c_j prod_{i != j} |zeta_j - zeta_i|^2
+        assert trig_values(m, np.array(m.points)) == pytest.approx([8.0, 8.0, 4.0], rel=1e-14)
+
+    def test_residual_over_tolerance_is_typed(self):
+        m = parse_measure("0,1/3,2/3:1,1,1")
+        with pytest.raises(IdentityResidual) as exc:
+            PipelineResult(m, NumericPolicy(identity_tol=1e-30))
+        assert exc.value.tol == 1e-30
+        assert exc.value.residual == verify_identity(m, factorize(m))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 
-from cdsp import build_dirichlet, build_trig, extract_C, factorize, rotate_measure
+from cdsp import build_dirichlet, extract_C, factorize, rotate_measure
 from cdsp.debranges import eval_S
 from cdsp.errors import CdspError, DegenerateAlphas
 from cdsp.fejer import FejerRiesz
@@ -167,7 +167,7 @@ class TestDecide:
 
     def test_rotation_invariance(self, three_point):
         m = rotate_measure(three_point.measure, Fraction(1, 7))
-        fr = factorize(build_trig(m))
+        fr = factorize(m)
         dd = build_dirichlet(m, fr)
         extract_C(dd)
         v = decide(fr, lambda z, u: eval_S(dd, z, u))
@@ -178,7 +178,7 @@ class TestDecide:
     def test_weight_permutation_invariance(self):
         for spec in ("0,1/3,2/3:1,2,0.5", "2/3,0,1/3:0.5,1,2"):
             m = __import__("cdsp").parse_measure(spec)
-            fr = factorize(build_trig(m))
+            fr = factorize(m)
             dd = build_dirichlet(m, fr)
             v = decide(fr, lambda z, u, dd=dd: eval_S(dd, z, u))
             if spec.startswith("0"):
