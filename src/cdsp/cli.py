@@ -144,16 +144,22 @@ def _parse_weights(text: str) -> tuple:
             f"expected comma-separated numbers, got {text!r}") from None
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for a count of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {text!r}")
-    return value
+def _int_at_least(low: int, noun: str):
+    """argparse type for an integer of at least ``low``, named ``noun`` in
+    the error."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected a {noun}, got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive integer")
+_nonnegative_int = _int_at_least(0, "non-negative integer")
 
 
 def cmd_kernel(args) -> int:
@@ -197,7 +203,7 @@ def make_parser() -> argparse.ArgumentParser:
         # paper-check and sweep always use the default one
         if policy:
             p.add_argument("--policy", help="@file.json numeric policy")
-            p.add_argument("--seed", type=int, help="seed for random test vectors")
+            p.add_argument("--seed", type=_nonnegative_int, help="seed for random test vectors")
             p.add_argument("--lmax", type=_positive_int, help="positivity probe depth")
             p.add_argument("--ntrunc", type=_positive_int,
                            help="truncation size for probes")

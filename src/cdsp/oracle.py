@@ -3,10 +3,16 @@
 The shift acts on coefficient vectors of polynomials; its Gram matrix in
 the weighted Dirichlet inner product has the closed form
 
-    <z^n, z^m> = delta_nm + min(n, m) * sum_j c_j zeta_j^(n-m)
+    <z^n, z^m> = delta_nm + min(n, m) * s[n - m],   s[l] = sum_j c_j zeta_j^l
 
-which is validated against direct 2-D quadrature of the defining integral
-before being trusted (see gram_quadrature).
+so G is built from the 2N - 1 values of the Toeplitz symbol s, and is
+validated against direct 2-D quadrature of the defining integral before
+being trusted (see gram_quadrature).
+
+The shift is a 2-isometry whose defect M_z^* M_z - I has rank k: on the
+model, H - Gm = sum_j c_j u_j u_j^H with u_j[i] = conj(zeta_j)^i, where
+Gm = G[:-1, :-1] and H = G[1:, 1:].  The Cauchy dual is built from that
+rank-k defect (see cauchy_dual_matrix).
 """
 
 from __future__ import annotations
@@ -36,8 +42,9 @@ def monomial_gram(m: Measure, N: int) -> MonomialModel:
     wts = np.array(m.weights, dtype=float)
     idx = np.arange(N)
     mins = np.minimum(idx[:, None], idx[None, :]).astype(float)
-    diff = idx[None, :] - idx[:, None]  # j - i at G[i, j]
-    phase = np.sum(wts[:, None] * pts[:, None] ** diff.reshape(1, -1), axis=0).reshape(N, N)
+    lags = np.arange(-(N - 1), N)
+    symbol = np.sum(wts[:, None] * pts[:, None] ** lags, axis=0)  # s[l] at lags + N - 1
+    phase = symbol[idx[None, :] - idx[:, None] + (N - 1)]  # s[j - i] at G[i, j]
     G = np.eye(N, dtype=complex) + mins * phase
     return MonomialModel(N, 0.5 * (G + G.conj().T), m)
 
@@ -125,13 +132,6 @@ def bn_form(mm: MonomialModel, n: int, v: np.ndarray) -> float:
     return agler_forms(orbit_norms(mm, v, n, partial(apply_mz, mm)))[n]
 
 
-def shift_matrix(N: int) -> np.ndarray:
-    S = np.zeros((N, N), dtype=complex)
-    for i in range(N - 1):
-        S[i + 1, i] = 1.0
-    return S
-
-
 def cauchy_dual_matrix(mm: MonomialModel) -> np.ndarray:
     """Matrix of T (T^* T)^{-1} on the truncated model, with T^* the
     G-adjoint of the shift.
@@ -143,16 +143,19 @@ def cauchy_dual_matrix(mm: MonomialModel) -> np.ndarray:
     """
     N = mm.N
     G = mm.G
-    Gm = G[:-1, :-1]                      # Gram of the domain
     H = G[1:, 1:]                         # <T e_j, T e_i>
-    # T^*T = Gm^{-1} H on the domain, so (T^*T)^{-1} = H^{-1} Gm
+    # T^*T = Gm^{-1} H on the domain with Gm = G[:-1, :-1] = H - U diag(c) U^H,
+    # so (T^*T)^{-1} = H^{-1} Gm = I - H^{-1} U diag(c) U^H: k right-hand sides
+    pts = np.array(mm.measure.points, dtype=complex)
+    wts = np.array(mm.measure.weights, dtype=float)
+    U = pts.conj()[None, :] ** np.arange(N - 1)[:, None]
     try:
-        inv_TsT = np.linalg.solve(H, Gm)
+        HiU = np.linalg.solve(H, U)
     except np.linalg.LinAlgError as exc:
         raise Singular("T^*T not invertible on the model") from exc
-    S_r = shift_matrix(N)[:, : N - 1]
     Tp = np.zeros((N, N), dtype=complex)
-    Tp[:, : N - 1] = S_r @ inv_TsT
+    # T moves row i of (T^*T)^{-1} to row i + 1
+    Tp[1:, : N - 1] = np.eye(N - 1) - HiU @ (wts[:, None] * U.conj().T)
     return Tp
 
 

@@ -26,10 +26,11 @@ class NumericPolicy:
         for name in ("root_tol", "identity_tol", "psd_tol"):
             if not getattr(self, name) > 0:
                 raise PolicyError(f"{name} must be positive")
-        for name in ("l_max", "N_trunc"):
+        # oracle_N >= 9: the oracle's probe vectors leave the top 8 coefficients free
+        for name, low in (("l_max", 1), ("N_trunc", 1), ("oracle_N", 9), ("seed", 0)):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
-                raise PolicyError(f"{name} must be a positive integer, got {value!r}")
+            if not isinstance(value, int) or value < low:
+                raise PolicyError(f"{name} must be an integer >= {low}, got {value!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)

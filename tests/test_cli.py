@@ -91,9 +91,28 @@ class TestAnalyze:
         err = usage_error(capsys, "analyze", "-m", "0,1/3,2/3:1,1,1", flag, value)
         assert f"argument {flag}: expected a positive integer, got '{value}'" in err
 
+    @pytest.mark.parametrize("value", ["-5", "x", "1.5"])
+    def test_seed_must_be_nonnegative(self, capsys, value):
+        err = usage_error(capsys, "analyze", "-m", "0,1/3,2/3:1,1,1", "--oracle",
+                          "--seed", value)
+        assert f"argument --seed: expected a non-negative integer, got '{value}'" in err
+
+    def test_smallest_oracle_policy_runs(self, capsys, tmp_path):
+        pol = tmp_path / "p.json"
+        pol.write_text(json.dumps({"oracle_N": 9}))
+        code, out, _ = run(capsys, "analyze", "-m", "0,1/3,2/3:1,1,1", "--oracle",
+                           "--policy", f"@{pol}", "--seed", "0")
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["oracle"]["N"] == 9 and rep["policy"]["seed"] == 0
+
     @pytest.mark.parametrize("doc, key", [({"l_max": 3, "lmax": 4}, "'lmax'"),
                                           ({"N_trunc": 0}, "N_trunc"),
-                                          ({"l_max": 2.5}, "l_max")])
+                                          ({"l_max": 2.5}, "l_max"),
+                                          ({"seed": -1}, "seed"),
+                                          ({"oracle_N": 8}, "oracle_N"),
+                                          ({"oracle_N": 3}, "oracle_N"),
+                                          ({"oracle_N": 64.5}, "oracle_N")])
     def test_bad_policy_file_names_key(self, capsys, tmp_path, doc, key):
         pol = tmp_path / "p.json"
         pol.write_text(json.dumps(doc))

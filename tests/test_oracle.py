@@ -2,17 +2,64 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cdsp import parse_measure
 from cdsp.errors import Overflow
-from cdsp.oracle import (agler_forms, apply_mz, bn_dual_probe, bn_form,
-                         cauchy_dual_matrix, dual_norm, gram_quadrature,
-                         monomial_gram, norm_sq, orbit_norms, shift_matrix)
+from cdsp.oracle import (MonomialModel, agler_forms, apply_mz, bn_dual_probe,
+                         bn_form, cauchy_dual_matrix, dual_norm, gram_quadrature,
+                         monomial_gram, norm_sq, orbit_norms)
 from cdsp.policy import NumericPolicy
 from cdsp.report import run_oracle
 
 SPECS = ["0:1", "0,1/2:1,1", "0,1/3,2/3:1,1,1", "0,1/4:1,2"]
 EXACT_SPECS = ["0,1/3,2/3:1,1,1", "0,1/2:1,1"]
+
+
+@st.composite
+def models(draw, sizes=(9, 24, 64, 128)):
+    """(measure spec, N): k = 1..8 distinct atoms at n/997 turns, weights in
+    [0.25, 4], N from ``sizes``."""
+    k = draw(st.integers(1, 8))
+    n = sorted(draw(st.lists(st.integers(0, 996), min_size=k, max_size=k, unique=True)))
+    w = draw(st.lists(st.floats(0.25, 4.0), min_size=k, max_size=k))
+    spec = ",".join(f"{x}/997" for x in n) + ":" + ",".join(repr(x) for x in w)
+    return spec, draw(st.sampled_from(sizes))
+
+
+def shift_matrix(N: int) -> np.ndarray:
+    S = np.zeros((N, N), dtype=complex)
+    for i in range(N - 1):
+        S[i + 1, i] = 1.0
+    return S
+
+
+# Reference constructions of the model: every entry of G sums its own atom
+# powers, and the dual solves T^*T against all N - 1 columns of Gm.
+
+def monomial_gram_elementwise(m, N):
+    pts = np.array(m.points, dtype=complex)
+    wts = np.array(m.weights, dtype=float)
+    idx = np.arange(N)
+    mins = np.minimum(idx[:, None], idx[None, :]).astype(float)
+    diff = idx[None, :] - idx[:, None]  # j - i at G[i, j]
+    phase = np.sum(wts[:, None] * pts[:, None] ** diff.reshape(1, -1), axis=0).reshape(N, N)
+    G = np.eye(N, dtype=complex) + mins * phase
+    return MonomialModel(N, 0.5 * (G + G.conj().T), m)
+
+
+def cauchy_dual_dense(mm):
+    N = mm.N
+    Tp = np.zeros((N, N), dtype=complex)
+    Tp[:, : N - 1] = shift_matrix(N)[:, : N - 1] @ np.linalg.solve(mm.G[1:, 1:], mm.G[:-1, :-1])
+    return Tp
+
+
+def left_inverse_residual(mm, Tp):
+    """max |T^H G T' - Gm| / max |G| on the domain: T^* T' = I there."""
+    N = mm.N
+    lhs = shift_matrix(N)[:, : N - 1].conj().T @ mm.G @ Tp[:, : N - 1]
+    return np.max(np.abs(lhs - mm.G[:-1, :-1])) / np.max(np.abs(mm.G))
 
 
 def operator_norm_G(mm, A: np.ndarray) -> float:
@@ -113,6 +160,14 @@ class TestMonomialGram:
         Q = gram_quadrature(m, 8)
         assert np.max(np.abs(mm.G - Q)) <= 1e-6
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(models())
+    def test_symbol_equals_elementwise_powers(self, model):
+        # the symbol holds the same per-lag powers and sums, so G is bit-identical
+        spec, N = model
+        m = parse_measure(spec)
+        assert np.array_equal(monomial_gram(m, N).G, monomial_gram_elementwise(m, N).G)
+
 
 class TestAglerForms:
     def test_b2_vanishes_everywhere(self):
@@ -208,7 +263,36 @@ class TestCauchyDual:
         for spec in SPECS:
             mm = monomial_gram(parse_measure(spec), 24)
             Tp = cauchy_dual_matrix(mm)
-            assert dual_norm(mm, Tp) <= 1.0 + 1e-9
+            assert dual_norm(mm, Tp) <= 1.0 + 1e-12
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(models())
+    def test_dual_norm_is_one(self, model):
+        # T'^*T' = (T^*T)^{-1} = (I + Gm^{-1} D)^{-1} with D of rank k, which is
+        # a contraction equal to 1 on the kernel of D, nonzero when N - 1 > k
+        spec, N = model
+        m = parse_measure(spec)
+        assume(N - 1 > m.k)
+        mm = monomial_gram(m, N)
+        assert dual_norm(mm, cauchy_dual_matrix(mm)) == pytest.approx(1.0, abs=1e-12)
+
+    # On some random measures at N = 128 the two differ by 1e-12 of max|Tp|
+    # with the dense solve's left-inverse residual ten times the defect
+    # form's, so random measures are held to that residual alone.
+    @pytest.mark.parametrize("spec", SPECS)
+    @pytest.mark.parametrize("N", [16, 64, 128])
+    def test_defect_form_matches_dense_solve(self, spec, N):
+        mm = monomial_gram(parse_measure(spec), N)
+        Tp = cauchy_dual_matrix(mm)
+        assert np.max(np.abs(Tp - cauchy_dual_dense(mm))) <= 1e-12 * np.max(np.abs(Tp))
+        assert left_inverse_residual(mm, Tp) <= 1e-13
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(models())
+    def test_defect_form_left_inverse(self, model):
+        spec, N = model
+        mm = monomial_gram(parse_measure(spec), N)
+        assert left_inverse_residual(mm, cauchy_dual_matrix(mm)) <= 1e-13
 
     def test_shift_is_expansive(self):
         mm = monomial_gram(parse_measure("0,1/3,2/3:1,1,1"), 16)
