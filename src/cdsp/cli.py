@@ -144,6 +144,16 @@ def _parse_weights(text: str) -> tuple:
             f"expected comma-separated numbers, got {text!r}") from None
 
 
+def _parse_turns(text: str) -> Fraction:
+    """argparse type for a rotation in turns written as a rational number
+    ('1/7', '0.25', '1e-3')."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"expected a rational number of turns, got {text!r}") from None
+
+
 def _int_at_least(low: int, noun: str):
     """argparse type for an integer of at least ``low``, named ``noun`` in
     the error."""
@@ -222,7 +232,8 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("paper-check",
                        help="regression-check the closed-form constants of "
                             "the three equi-spaced atom example")
-    p.add_argument("--rotate", help="rotate the measure by this many turns")
+    p.add_argument("--rotate", type=_parse_turns,
+                   help="rotate the measure by this many turns")
     p.add_argument("--weights", type=_parse_weights,
                    help="comma-separated weights (default 1,1,1)")
     common(p)

@@ -5,14 +5,17 @@ the weighted Dirichlet inner product has the closed form
 
     <z^n, z^m> = delta_nm + min(n, m) * s[n - m],   s[l] = sum_j c_j zeta_j^l
 
-so G is built from the 2N - 1 values of the Toeplitz symbol s, and is
-validated against direct 2-D quadrature of the defining integral before
-being trusted (see gram_quadrature).
+so G is built from the 2N - 1 values of the Toeplitz symbol s (the tests
+validate it against direct 2-D quadrature of the defining integral).
 
 The shift is a 2-isometry whose defect M_z^* M_z - I has rank k: on the
 model, H - Gm = sum_j c_j u_j u_j^H with u_j[i] = conj(zeta_j)^i, where
-Gm = G[:-1, :-1] and H = G[1:, 1:].  The Cauchy dual is built from that
-rank-k defect (see cauchy_dual_matrix).
+Gm = G[:-1, :-1] and H = G[1:, 1:].  The Cauchy dual and its norm are
+read from that rank-k defect (see cauchy_dual_matrix and dual_norm).
+
+Vectors are coefficient columns.  norm_sq, apply_mz, orbit_norms and
+agler_forms also take a block whose columns are separate vectors, so the
+random probes run all their trials as one matrix product per step.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from math import comb
 from typing import Callable, List
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import Overflow, Singular
 from .measure import Measure
@@ -40,69 +44,39 @@ def monomial_gram(m: Measure, N: int) -> MonomialModel:
         raise ValueError("model needs N >= 4")
     pts = np.array(m.points, dtype=complex)
     wts = np.array(m.weights, dtype=float)
-    idx = np.arange(N)
-    mins = np.minimum(idx[:, None], idx[None, :]).astype(float)
     lags = np.arange(-(N - 1), N)
     symbol = np.sum(wts[:, None] * pts[:, None] ** lags, axis=0)  # s[l] at lags + N - 1
-    phase = symbol[idx[None, :] - idx[:, None] + (N - 1)]  # s[j - i] at G[i, j]
-    G = np.eye(N, dtype=complex) + mins * phase
-    return MonomialModel(N, 0.5 * (G + G.conj().T), m)
-
-
-def gram_quadrature(m: Measure, N: int, n_rad: int = 64,
-                    angle_factor: float = 48.0, min_angle: int = 256) -> np.ndarray:
-    """Gram matrix by direct quadrature of the weighted area integral:
-    Gauss-Legendre in radius, trapezoid in angle.
-
-    The harmonic weight concentrates in a band of width ~(1-r) around each
-    atom, so the angular point count per ring scales like 1/(1-r); a fixed
-    angular grid cannot resolve the outermost rings.
-    """
-    xs, ws = np.polynomial.legendre.leggauss(n_rad)
-    rs = 0.5 * (xs + 1.0)
-    wr = 0.5 * ws
-    pts = np.array(m.points, dtype=complex)
-    wts = np.array(m.weights, dtype=float)
-    kmax = N - 1
-    # ring-wise Fourier coefficients of the weight, c[k] for k = -(N-1)..N-1
-    four = np.zeros((n_rad, 2 * kmax + 1), dtype=complex)
-    for i, r in enumerate(rs):
-        M = int(max(min_angle, np.ceil(angle_factor / (1.0 - r))))
-        th = 2.0 * np.pi * np.arange(M) / M
-        z = r * np.exp(1j * th)
-        P = np.zeros(M)
-        for zeta, c in zip(pts, wts):
-            P += c * (1.0 - r * r) / np.abs(z - zeta) ** 2
-        spec = np.fft.fft(P)
-        for k in range(-kmax, kmax + 1):
-            four[i, k + kmax] = (2.0 * np.pi / M) * spec[-k % M]
-    G = np.eye(N, dtype=complex)
-    for n in range(1, N):
-        for mm in range(1, N):
-            k = n - mm
-            radial = np.sum(wr * rs ** (n + mm - 1) * four[:, k + kmax])
-            G[mm, n] += (n * mm / np.pi) * radial
-    return 0.5 * (G + G.conj().T)
+    # int32 halves the N x N temporary min(i, j): at 2N = 128 an int64 one is
+    # large enough to be served from fresh memory pages on each call
+    idx = np.arange(N, dtype=np.int32)
+    # row i of the reversed windows is symbol[N - 1 - i:], so s[j - i] sits at G[i, j]
+    G = np.multiply(np.minimum.outer(idx, idx), sliding_window_view(symbol, N)[::-1])
+    G[idx, idx] += 1.0
+    G += G.conj().T  # conj() copies, so the transpose does not alias G
+    G *= 0.5
+    return MonomialModel(N, G, m)
 
 
 def apply_mz(mm: MonomialModel, v: np.ndarray) -> np.ndarray:
-    """Coefficient shift up by one; the model must have headroom."""
+    """Coefficient shift up by one, of a vector or of each column of a
+    block; the model must have headroom."""
     v = np.asarray(v, dtype=complex)
-    if abs(v[-1]) > 0:
+    if np.any(np.abs(v[-1]) > 0):
         raise Overflow("top coefficient nonzero; shift would leave the model")
     out = np.zeros_like(v)
     out[1:] = v[:-1]
     return out
 
 
-def norm_sq(mm: MonomialModel, v: np.ndarray) -> float:
-    return float(np.real(np.conj(v) @ (mm.G @ v)))
+def norm_sq(mm: MonomialModel, v: np.ndarray):
+    """v^H G v for a vector, or the array of it over the columns of a block."""
+    return np.einsum("i...,i...->...", v.conj(), mm.G @ v).real
 
 
 def orbit_norms(mm: MonomialModel, v: np.ndarray, n: int,
-                step: Callable[[np.ndarray], np.ndarray]) -> List[float]:
+                step: Callable[[np.ndarray], np.ndarray]) -> List:
     """[||v||^2, ||T v||^2, ..., ||T^n v||^2] with T applied by ``step``;
-    one norm_sq per vector of the orbit."""
+    one norm_sq per power, of a vector or of a whole block."""
     norms = [norm_sq(mm, v)]
     w = v
     for _ in range(n):
@@ -111,9 +85,10 @@ def orbit_norms(mm: MonomialModel, v: np.ndarray, n: int,
     return norms
 
 
-def agler_forms(norms: List[float]) -> List[float]:
+def agler_forms(norms: List) -> List:
     """B_0, ..., B_n from norms[k] = ||T^k v||^2, each as the left-to-right
-    sum  B_n = sum_k (-1)^k C(n, k) ||T^k v||^2."""
+    sum  B_n = sum_k (-1)^k C(n, k) ||T^k v||^2 (elementwise for a block's
+    norm arrays)."""
     forms = []
     for n in range(len(norms)):
         total = 0.0
@@ -132,6 +107,29 @@ def bn_form(mm: MonomialModel, n: int, v: np.ndarray) -> float:
     return agler_forms(orbit_norms(mm, v, n, partial(apply_mz, mm)))[n]
 
 
+def probe_block(rng: np.random.Generator, size: int, trials: int,
+                support: int) -> np.ndarray:
+    """size x trials block whose columns are random complex normals in their
+    first ``support`` coefficients.  One draw of shape (trials, 2, support)
+    yields the numbers that a real and then an imaginary draw per trial
+    would."""
+    x = rng.normal(size=(trials, 2, support))
+    block = np.zeros((size, trials), dtype=complex)
+    block[:support] = (x[:, 0] + 1j * x[:, 1]).T
+    return block
+
+
+def _defect(mm: MonomialModel):
+    """(U, c, H^{-1} U) for the rank-k defect H - Gm = U diag(c) U^H."""
+    pts = np.array(mm.measure.points, dtype=complex)
+    wts = np.array(mm.measure.weights, dtype=float)
+    U = pts.conj()[None, :] ** np.arange(mm.N - 1)[:, None]
+    try:
+        return U, wts, np.linalg.solve(mm.G[1:, 1:], U)
+    except np.linalg.LinAlgError as exc:
+        raise Singular("T^*T not invertible on the model") from exc
+
+
 def cauchy_dual_matrix(mm: MonomialModel) -> np.ndarray:
     """Matrix of T (T^* T)^{-1} on the truncated model, with T^* the
     G-adjoint of the shift.
@@ -142,31 +140,39 @@ def cauchy_dual_matrix(mm: MonomialModel) -> np.ndarray:
     zero and probe vectors must stay clear of it.
     """
     N = mm.N
-    G = mm.G
-    H = G[1:, 1:]                         # <T e_j, T e_i>
-    # T^*T = Gm^{-1} H on the domain with Gm = G[:-1, :-1] = H - U diag(c) U^H,
+    # T^*T = Gm^{-1} H on the domain with Gm = H - U diag(c) U^H,
     # so (T^*T)^{-1} = H^{-1} Gm = I - H^{-1} U diag(c) U^H: k right-hand sides
-    pts = np.array(mm.measure.points, dtype=complex)
-    wts = np.array(mm.measure.weights, dtype=float)
-    U = pts.conj()[None, :] ** np.arange(N - 1)[:, None]
-    try:
-        HiU = np.linalg.solve(H, U)
-    except np.linalg.LinAlgError as exc:
-        raise Singular("T^*T not invertible on the model") from exc
+    U, c, HiU = _defect(mm)
+    # written in place, as N x N temporaries at 2N = 128 cost fresh memory pages
     Tp = np.zeros((N, N), dtype=complex)
-    # T moves row i of (T^*T)^{-1} to row i + 1
-    Tp[1:, : N - 1] = np.eye(N - 1) - HiU @ (wts[:, None] * U.conj().T)
+    inv = Tp[1:, : N - 1]  # T moves row i of (T^*T)^{-1} to row i + 1
+    np.matmul(HiU, c[:, None] * U.conj().T, out=inv)
+    np.negative(inv, out=inv)
+    diag = np.arange(N - 1)
+    inv[diag, diag] += 1.0
     return Tp
 
 
-def dual_norm(mm: MonomialModel, Tp: np.ndarray) -> float:
+def dual_norm(mm: MonomialModel) -> float:
     """Norm of the Cauchy dual restricted to its domain (the model minus
-    the top basis vector, where the construction is meaningful)."""
-    N = mm.N
-    R = np.linalg.cholesky(mm.G).conj().T
-    Rm = np.linalg.cholesky(mm.G[:-1, :-1]).conj().T
-    mid = R @ Tp[:, : N - 1] @ np.linalg.inv(Rm)
-    return float(np.linalg.norm(mid, 2))
+    the top basis vector, where the construction is meaningful).
+
+    ||T'||^2 = ||T'^* T'|| = ||(T^*T)^{-1}||, and (T^*T)^{-1} =
+    I - H^{-1} U diag(c) U^H is self-adjoint for Gm.  It is 1 on the kernel
+    of U^H, and its other eigenvalues are 1 - mu for the largest
+    min(N - 1, k) eigenvalues mu of the k x k Hermitian
+    diag(c)^{1/2} U^H H^{-1} U diag(c)^{1/2} (the atoms are distinct, so
+    U has full rank).
+    """
+    U, c, HiU = _defect(mm)
+    k = len(c)
+    rank = min(mm.N - 1, k)
+    r = np.sqrt(c)
+    mu = np.linalg.eigvalsh(r[:, None] * (U.conj().T @ HiU) * r)  # ascending
+    top = 1.0 - mu[k - rank]
+    if rank < mm.N - 1:
+        top = max(top, 1.0)
+    return float(np.sqrt(top))
 
 
 def bn_dual_probe(m: Measure, n_max: int, trials: int, N: int,
@@ -174,6 +180,9 @@ def bn_dual_probe(m: Measure, n_max: int, trials: int, N: int,
     """Most negative normalized Agler form value of the Cauchy dual over
     random test vectors, with an N vs 2N stabilization comparison.
 
+    The trials (``trials`` >= 1, orders 1..``n_max`` >= 1) run as one
+    block; the witness (n, trial) is the first strict minimum in
+    trial-major, then n, order, and None when no value is negative.
     ``per_size[size]`` also carries the model and its dual matrix under
     "model" and "dual", so a caller can reuse them instead of rebuilding."""
     rng = np.random.default_rng(seed)
@@ -181,19 +190,14 @@ def bn_dual_probe(m: Measure, n_max: int, trials: int, N: int,
     for size in (N, 2 * N):
         mm = monomial_gram(m, size)
         Tp = cauchy_dual_matrix(mm)
-        worst = 0.0
-        witness = None
-        for trial in range(trials):
-            v = np.zeros(size, dtype=complex)
-            support = size // 2
-            v[:support] = rng.normal(size=support) + 1j * rng.normal(size=support)
-            norms = orbit_norms(mm, v, n_max, lambda w: Tp @ w)
-            forms = agler_forms(norms)
-            for n in range(1, n_max + 1):
-                val = forms[n] / norms[0]
-                if val < worst:
-                    worst = val
-                    witness = (n, trial)
+        block = probe_block(rng, size, trials, size // 2)
+        norms = orbit_norms(mm, block, n_max, lambda w: Tp @ w)
+        values = np.stack(agler_forms(norms)[1:], axis=1) / norms[0][:, None]
+        first = int(np.argmin(values))  # values[trial, n - 1], row-major
+        worst, witness = 0.0, None
+        if values.flat[first] < 0:
+            trial, col = divmod(first, n_max)
+            worst, witness = float(values.flat[first]), (col + 1, trial)
         results[size] = {"most_negative": worst, "witness": witness,
                          "model": mm, "dual": Tp}
     a, b = results[N]["most_negative"], results[2 * N]["most_negative"]

@@ -6,7 +6,6 @@ import json
 import time
 from dataclasses import replace
 from fractions import Fraction
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -61,24 +60,16 @@ class PipelineResult:
 def run_oracle(m: Measure, policy: NumericPolicy) -> dict:
     N = policy.oracle_N
     probe = oracle.bn_dual_probe(m, 8, 10, N, seed=policy.seed)
-    mm, Tp = probe["per_size"][N]["model"], probe["per_size"][N]["dual"]
-    shift = partial(oracle.apply_mz, mm)
+    mm = probe["per_size"][N]["model"]
     rng = np.random.default_rng(policy.seed)
-    worst_b2 = 0.0
-    worst_bn = -np.inf
-    for _ in range(20):
-        v = np.zeros(N, dtype=complex)
-        v[: N - 8] = rng.normal(size=N - 8) + 1j * rng.normal(size=N - 8)
-        norms = oracle.orbit_norms(mm, v, 6, shift)
-        forms = oracle.agler_forms(norms)
-        worst_b2 = max(worst_b2, abs(forms[2]) / norms[0])
-        for n in range(1, 7):
-            worst_bn = max(worst_bn, forms[n] / norms[0])
+    block = oracle.probe_block(rng, N, 20, N - 8)
+    norms = oracle.orbit_norms(mm, block, 6, lambda w: oracle.apply_mz(mm, w))
+    forms = oracle.agler_forms(norms)
     return {
         "N": N,
-        "two_isometry_defect": worst_b2,
-        "max_bn_form": worst_bn,
-        "dual_norm": oracle.dual_norm(mm, Tp),
+        "two_isometry_defect": float(np.max(np.abs(forms[2]) / norms[0])),
+        "max_bn_form": float(np.max(np.stack(forms[1:]) / norms[0])),
+        "dual_norm": oracle.dual_norm(mm),
         "dual_probe_most_negative": probe["most_negative"],
         "dual_probe_witness": list(probe["witness"]) if probe["witness"] else None,
         "truncation_caution": probe["truncation_caution"],
@@ -200,7 +191,7 @@ def reference_checks(rotation_turns=None, weights=None) -> dict:
 
     phase = 1.0 + 0.0j
     if rotation_turns is not None:
-        t = Fraction(rotation_turns)
+        t = Fraction(rotation_turns) % 1  # exact, so a huge turn count still fits a float
         phase = complex(np.cos(2 * np.pi * float(t)), np.sin(2 * np.pi * float(t)))
 
     if unit_weights:

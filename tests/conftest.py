@@ -54,3 +54,38 @@ def random_measures(draw, k_max=5):
     assume(2.0 * np.sin(np.pi * gaps.min()) >= 0.1)
     w = draw(st.lists(st.floats(0.25, 4.0), min_size=k, max_size=k))
     return ",".join(f"{x}/997" for x in n) + ":" + ",".join(repr(x) for x in w)
+
+
+def gram_quadrature(m, N, n_rad=64, angle_factor=48.0, min_angle=256):
+    """Gram matrix by direct quadrature of the weighted area integral:
+    Gauss-Legendre in radius, trapezoid in angle.
+
+    The harmonic weight concentrates in a band of width ~(1-r) around each
+    atom, so the angular point count per ring scales like 1/(1-r); a fixed
+    angular grid cannot resolve the outermost rings.
+    """
+    xs, ws = np.polynomial.legendre.leggauss(n_rad)
+    rs = 0.5 * (xs + 1.0)
+    wr = 0.5 * ws
+    pts = np.array(m.points, dtype=complex)
+    wts = np.array(m.weights, dtype=float)
+    kmax = N - 1
+    # ring-wise Fourier coefficients of the weight, c[k] for k = -(N-1)..N-1
+    four = np.zeros((n_rad, 2 * kmax + 1), dtype=complex)
+    for i, r in enumerate(rs):
+        M = int(max(min_angle, np.ceil(angle_factor / (1.0 - r))))
+        th = 2.0 * np.pi * np.arange(M) / M
+        z = r * np.exp(1j * th)
+        P = np.zeros(M)
+        for zeta, c in zip(pts, wts):
+            P += c * (1.0 - r * r) / np.abs(z - zeta) ** 2
+        spec = np.fft.fft(P)
+        for k in range(-kmax, kmax + 1):
+            four[i, k + kmax] = (2.0 * np.pi / M) * spec[-k % M]
+    G = np.eye(N, dtype=complex)
+    for n in range(1, N):
+        for mm in range(1, N):
+            k = n - mm
+            radial = np.sum(wr * rs ** (n + mm - 1) * four[:, k + kmax])
+            G[mm, n] += (n * mm / np.pi) * radial
+    return 0.5 * (G + G.conj().T)

@@ -206,6 +206,19 @@ class TestPaperCheck:
         err = usage_error(capsys, "paper-check", "--weights", "a,1,1")
         assert "argument --weights: expected comma-separated numbers, got 'a,1,1'" in err
 
+    @pytest.mark.parametrize("turns", ["abc", "1/0", "nan", "inf"])
+    def test_malformed_rotation_names_argument(self, capsys, turns):
+        # a usage error (exit 2), not a failed regression check (exit 1)
+        err = usage_error(capsys, "paper-check", f"--rotate={turns}")
+        assert f"argument --rotate: expected a rational number of turns, got '{turns}'" in err
+
+    @pytest.mark.parametrize("turns", ["1e400", "100000000000000000000001/7"])
+    def test_rotation_by_many_turns(self, capsys, turns):
+        # the phase is taken modulo one turn, exactly, before it becomes a float
+        code, out, _ = run(capsys, "paper-check", "--rotate", turns)
+        assert code == 0
+        assert json.loads(out)["all_passed"] is True
+
     @pytest.mark.parametrize("argv", [("--policy", "@p.json"), ("--seed", "7"),
                                       ("--lmax", "1"), ("--ntrunc", "8")])
     def test_takes_no_policy_options(self, capsys, argv):

@@ -1,14 +1,16 @@
 from math import comb
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from conftest import gram_quadrature, random_measures
 from cdsp import parse_measure
 from cdsp.errors import Overflow
 from cdsp.oracle import (MonomialModel, agler_forms, apply_mz, bn_dual_probe,
-                         bn_form, cauchy_dual_matrix, dual_norm, gram_quadrature,
-                         monomial_gram, norm_sq, orbit_norms)
+                         bn_form, cauchy_dual_matrix, dual_norm,
+                         monomial_gram, norm_sq, orbit_norms, probe_block)
 from cdsp.policy import NumericPolicy
 from cdsp.report import run_oracle
 
@@ -62,6 +64,16 @@ def left_inverse_residual(mm, Tp):
     return np.max(np.abs(lhs - mm.G[:-1, :-1])) / np.max(np.abs(mm.G))
 
 
+def dual_norm_dense(mm, Tp):
+    """Norm of Tp on its domain from the matrix itself: the spectral norm of
+    R Tp R_m^{-1} with G = R^H R and Gm = R_m^H R_m."""
+    N = mm.N
+    R = np.linalg.cholesky(mm.G).conj().T
+    Rm = np.linalg.cholesky(mm.G[:-1, :-1]).conj().T
+    mid = R @ Tp[:, : N - 1] @ np.linalg.inv(Rm)
+    return float(np.linalg.norm(mid, 2))
+
+
 def operator_norm_G(mm, A: np.ndarray) -> float:
     """Operator norm with respect to the G inner product."""
     R = np.linalg.cholesky(mm.G).conj().T  # G = R^H R
@@ -70,7 +82,8 @@ def operator_norm_G(mm, A: np.ndarray) -> float:
 
 
 # Reference evaluations: every order n recomputes T^k v and its norm from v,
-# as the oracle did before the norms of an orbit were shared across orders.
+# one vector at a time, as the oracle did before the norms of an orbit were
+# shared across orders and the trials ran as one block.
 
 def bn_form_per_order(mm, n, v):
     total = 0.0
@@ -124,7 +137,29 @@ def run_oracle_per_order(m, policy):
         for n in range(1, 7):
             worst_bn = max(worst_bn, bn_form_per_order(mm, n, v) / nv)
     return {"two_isometry_defect": worst_b2, "max_bn_form": worst_bn,
-            "dual_norm": dual_norm(mm, cauchy_dual_matrix(mm))}
+            "dual_norm": dual_norm_dense(mm, cauchy_dual_matrix(mm))}
+
+
+def orbit_forms_mp(mm, Tp, block, n_max, dps=40):
+    """B_1..B_n_max / ||v||^2 of T' for each column v of ``block`` at ``dps``
+    digits, with the float entries of G, Tp and v taken as exact; returned as
+    a (trials, n_max) array with the largest sum_k C(n, k) ||T'^k v||^2 / ||v||^2."""
+    forms, scale = [], 0.0
+    with mp.workdps(dps):
+        G, T = mp.matrix(mm.G.tolist()), mp.matrix(Tp.tolist())
+        for v in block.T:
+            w = mp.matrix(v.tolist())
+            norms = []
+            for k in range(n_max + 1):
+                norms.append(mp.re((w.H * G * w)[0]))
+                w = T * w
+            row = []
+            for n in range(1, n_max + 1):
+                terms = [(-1) ** k * comb(n, k) * norms[k] / norms[0] for k in range(n + 1)]
+                row.append(float(mp.fsum(terms)))
+                scale = max(scale, float(mp.fsum(abs(t) for t in terms)))
+            forms.append(row)
+    return np.array(forms), scale
 
 
 class TestMonomialGram:
@@ -220,33 +255,74 @@ class TestSharedOrbit:
             for n in range(0, 9):
                 assert bn_form(mm, n, v) == bn_form_per_order(mm, n, v)
 
-    @pytest.mark.parametrize("spec", EXACT_SPECS)
-    def test_dual_probe_equals_per_order_loop(self, spec):
-        m = parse_measure(spec)
-        got = bn_dual_probe(m, n_max=8, trials=10, N=24, seed=5)
-        ref = bn_dual_probe_per_order(m, n_max=8, trials=10, N=24, seed=5)
-        for size in (24, 48):
+    # The block sums each norm in a matrix product, in another order than
+    # the per-vector loop, so the two agree to rounding and pick the same
+    # witness; FORM_TOL is absolute, on forms normalized by ||v||^2.
+    FORM_TOL = 1e-12
+
+    def assert_probe_matches(self, m, N, seed):
+        got = bn_dual_probe(m, n_max=8, trials=10, N=N, seed=seed)
+        ref = bn_dual_probe_per_order(m, n_max=8, trials=10, N=N, seed=seed)
+        for size in (N, 2 * N):
             entry = got["per_size"][size]
-            assert entry["most_negative"] == ref[size]["most_negative"]
+            assert abs(entry["most_negative"] - ref[size]["most_negative"]) <= self.FORM_TOL
             assert entry["witness"] == ref[size]["witness"]
             # the returned model and dual are the ones the probe used
             mm = monomial_gram(m, size)
             assert np.array_equal(entry["model"].G, mm.G)
             assert np.array_equal(entry["dual"], cauchy_dual_matrix(mm))
-        assert got["most_negative"] == ref[48]["most_negative"]
+        assert got["most_negative"] == got["per_size"][2 * N]["most_negative"]
+        assert got["witness"] == got["per_size"][2 * N]["witness"]
+
+    def assert_run_oracle_matches(self, m, N):
+        policy = NumericPolicy(oracle_N=N)
+        got = run_oracle(m, policy)
+        for key, value in run_oracle_per_order(m, policy).items():
+            assert abs(got[key] - value) <= self.FORM_TOL, key
+        probe = bn_dual_probe_per_order(m, 8, 10, N, seed=policy.seed)[2 * N]
+        assert abs(got["dual_probe_most_negative"] - probe["most_negative"]) <= self.FORM_TOL
+        witness = probe["witness"]
+        assert got["dual_probe_witness"] == (list(witness) if witness else None)
+
+    @pytest.mark.parametrize("spec", EXACT_SPECS)
+    def test_dual_probe_equals_per_order_loop(self, spec):
+        self.assert_probe_matches(parse_measure(spec), 24, seed=5)
 
     @pytest.mark.parametrize("spec", EXACT_SPECS)
     def test_run_oracle_equals_per_order_loop(self, spec):
+        self.assert_run_oracle_matches(parse_measure(spec), 24)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(random_measures(k_max=5))
+    def test_block_equals_per_order_loop_on_random_measures(self, spec):
         m = parse_measure(spec)
-        policy = NumericPolicy(oracle_N=24)
-        got = run_oracle(m, policy)
-        ref = run_oracle_per_order(m, policy)
-        for key, value in ref.items():
-            assert got[key] == value, key
-        probe = bn_dual_probe_per_order(m, 8, 10, 24, seed=policy.seed)[48]
-        assert got["dual_probe_most_negative"] == probe["most_negative"]
-        witness = probe["witness"]
-        assert got["dual_probe_witness"] == (list(witness) if witness else None)
+        self.assert_probe_matches(m, 24, seed=5)
+        self.assert_run_oracle_matches(m, 24)
+
+    @pytest.mark.parametrize("spec", EXACT_SPECS)
+    def test_block_forms_as_accurate_as_per_vector(self, spec):
+        # 40-digit orbit of the float T' (its entries, G's and v's taken as
+        # exact): both evaluations sum the same alternating binomial series,
+        # whose own rounding is about eps * sum_k C(n, k) ||T'^k v||^2 / ||v||^2
+        # (measured: under 0.8 of it for both), so the block may miss the
+        # exact forms by at most that much more than the per-vector loop does
+        m = parse_measure(spec)
+        for size in (12, 24):
+            mm = monomial_gram(m, size)
+            Tp = cauchy_dual_matrix(mm)
+            block = probe_block(np.random.default_rng(5), size, 10, size // 2)
+            exact, scale = orbit_forms_mp(mm, Tp, block, 8)
+            norms = orbit_norms(mm, block, 8, lambda w: Tp @ w)
+            got = np.stack(agler_forms(norms)[1:], axis=1) / norms[0][:, None]
+            per_vector = []
+            for v in block.T:
+                nv = orbit_norms(mm, v, 8, lambda w: Tp @ w)
+                per_vector.append([f / nv[0] for f in agler_forms(nv)[1:]])
+            block_err = np.max(np.abs(got - exact))
+            per_vector_err = np.max(np.abs(np.array(per_vector) - exact))
+            rounding = np.finfo(float).eps * scale
+            assert block_err <= per_vector_err + rounding
+            assert block_err <= 4 * rounding
 
 
 class TestCauchyDual:
@@ -262,8 +338,8 @@ class TestCauchyDual:
     def test_dual_is_contraction(self):
         for spec in SPECS:
             mm = monomial_gram(parse_measure(spec), 24)
-            Tp = cauchy_dual_matrix(mm)
-            assert dual_norm(mm, Tp) <= 1.0 + 1e-12
+            assert dual_norm(mm) <= 1.0 + 1e-12
+            assert dual_norm_dense(mm, cauchy_dual_matrix(mm)) <= 1.0 + 1e-12
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(models())
@@ -274,7 +350,20 @@ class TestCauchyDual:
         m = parse_measure(spec)
         assume(N - 1 > m.k)
         mm = monomial_gram(m, N)
-        assert dual_norm(mm, cauchy_dual_matrix(mm)) == pytest.approx(1.0, abs=1e-12)
+        got = dual_norm(mm)
+        assert got == pytest.approx(1.0, abs=1e-12)
+        assert abs(got - dual_norm_dense(mm, cauchy_dual_matrix(mm))) <= 1e-12
+
+    @pytest.mark.parametrize("spec, N", [("0,1/8,1/4,3/8,1/2,5/8,3/4,7/8:1,1,1,1,1,1,1,1", 9),
+                                         ("0,1/8,1/4,3/8,1/2,5/8,3/4,7/8:1,2,1,3,1,0.5,1,1", 6),
+                                         ("0,1/3,2/3:1,1,1", 4), ("0,1/4,1/2,3/4:1,2,3,4", 4)])
+    def test_dual_norm_without_complement(self, spec, N):
+        # with N - 1 <= k the kernel of U^H is trivial and the norm comes from
+        # the N - 1 largest eigenvalues of the k x k form alone
+        mm = monomial_gram(parse_measure(spec), N)
+        got = dual_norm(mm)
+        assert got < 1.0
+        assert abs(got - dual_norm_dense(mm, cauchy_dual_matrix(mm))) <= 1e-12
 
     # On some random measures at N = 128 the two differ by 1e-12 of max|Tp|
     # with the dense solve's left-inverse residual ten times the defect
