@@ -8,6 +8,9 @@ from dataclasses import dataclass, asdict, fields, replace
 from .errors import PolicyError
 
 
+MAX_N = 1024
+
+
 @dataclass(frozen=True)
 class NumericPolicy:
     root_tol: float = 1e-12
@@ -26,11 +29,15 @@ class NumericPolicy:
         for name in ("root_tol", "identity_tol", "psd_tol"):
             if not getattr(self, name) > 0:
                 raise PolicyError(f"{name} must be positive")
-        # oracle_N >= 9: the oracle's probe vectors leave the top 8 coefficients free
-        for name, low in (("l_max", 1), ("N_trunc", 1), ("oracle_N", 9), ("seed", 0)):
+        # oracle_N >= 9: the oracle's probe vectors leave the top 8 coefficients free;
+        # N_trunc, oracle_N <= MAX_N keep the probe and oracle matrices to tens of MB
+        for name, low, high in (("l_max", 1, None), ("N_trunc", 1, MAX_N),
+                                ("oracle_N", 9, MAX_N), ("seed", 0, None)):
             value = getattr(self, name)
             if not isinstance(value, int) or value < low:
                 raise PolicyError(f"{name} must be an integer >= {low}, got {value!r}")
+            if high is not None and value > high:
+                raise PolicyError(f"{name} must be an integer <= {high}, got {value!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -51,7 +51,8 @@ class Verdict:
     psd_probes: List[PsdProbe]
     policy: NumericPolicy
     max_offdiag_norm: float
-    S: np.ndarray = field(compare=False, repr=False)  # root values, see root_values
+    # S(alpha_r, alpha_t) at all root pairs, one broadcast s_eval call (root_values)
+    S: np.ndarray = field(compare=False, repr=False)
 
 
 def pair_premises(fr: FejerRiesz) -> List[PairEvidence]:
@@ -69,11 +70,14 @@ def pair_premises(fr: FejerRiesz) -> List[PairEvidence]:
 
 
 def root_values(fr: FejerRiesz, s_eval: Callable) -> np.ndarray:
-    """k x k matrix S[r, t] = S(alpha_r, alpha_t) at the exterior roots."""
+    """k x k matrix S[r, t] = S(alpha_r, alpha_t) at the exterior roots, from
+    one call of ``s_eval`` on the grid alpha[:, None], alpha[None, :]; like
+    ``debranges.eval_S``, ``s_eval(z, u)`` must broadcast over arrays of z
+    and u."""
     alphas = fr.alphas
-    k = len(alphas)
-    return np.array([[s_eval(alphas[r], alphas[t]) for t in range(k)] for r in range(k)],
-                    dtype=complex)
+    S = np.empty((len(alphas), len(alphas)), dtype=complex)
+    S[...] = s_eval(alphas[:, None], alphas[None, :])
+    return S
 
 
 def offdiag_sums(fr: FejerRiesz, S: np.ndarray) -> List[PairEvidence]:
@@ -121,7 +125,8 @@ def _truncation(factors, l: int) -> np.ndarray:
 
 
 def moment_truncation(fr: FejerRiesz, s_eval: Callable, l: int, N: int) -> np.ndarray:
-    """N x N Hermitian truncation of the order-l moment matrix."""
+    """N x N Hermitian truncation of the order-l moment matrix; ``s_eval``
+    broadcasts over arrays of z and u (see ``root_values``)."""
     return _truncation(_moment_factors(fr, root_values(fr, s_eval), N), l)
 
 
@@ -147,6 +152,8 @@ def psd_search(fr: FejerRiesz, S: np.ndarray, l_max: int, N: int,
 def decide(fr: FejerRiesz, s_eval: Callable,
            policy: Optional[NumericPolicy] = None,
            run_psd: bool = True, exhaustive_psd: bool = False) -> Verdict:
+    """Zero test and positivity probes on the root values of ``s_eval``,
+    which broadcasts over arrays of z and u (see ``root_values``)."""
     policy = policy or NumericPolicy()
     S = root_values(fr, s_eval)
     evidence = offdiag_sums(fr, S)

@@ -46,9 +46,9 @@ W_CONST = _REF["w"]
 
 
 @st.composite
-def random_measures(draw, k_max=5):
-    """k = 2..k_max atoms at n/997 turns, chords >= 0.1, weights in [0.25, 4]."""
-    k = draw(st.integers(2, k_max))
+def random_measures(draw, k_max=5, k_min=2):
+    """k = k_min..k_max atoms at n/997 turns, chords >= 0.1, weights in [0.25, 4]."""
+    k = draw(st.integers(k_min, k_max))
     n = sorted(draw(st.lists(st.integers(0, 996), min_size=k, max_size=k, unique=True)))
     gaps = np.diff(n + [n[0] + 997]) / 997
     assume(2.0 * np.sin(np.pi * gaps.min()) >= 0.1)

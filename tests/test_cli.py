@@ -112,13 +112,24 @@ class TestAnalyze:
                                           ({"seed": -1}, "seed"),
                                           ({"oracle_N": 8}, "oracle_N"),
                                           ({"oracle_N": 3}, "oracle_N"),
-                                          ({"oracle_N": 64.5}, "oracle_N")])
+                                          ({"oracle_N": 64.5}, "oracle_N"),
+                                          ({"N_trunc": 1025}, "N_trunc"),
+                                          ({"N_trunc": 100000}, "N_trunc"),
+                                          ({"oracle_N": 1025}, "oracle_N"),
+                                          ({"oracle_N": 100000}, "oracle_N")])
     def test_bad_policy_file_names_key(self, capsys, tmp_path, doc, key):
         pol = tmp_path / "p.json"
         pol.write_text(json.dumps(doc))
         code, out, err = run(capsys, "analyze", "-m", "0:1", "--policy", f"@{pol}")
         assert code == 2 and out == ""
         assert "error [PolicyError]:" in err and key in err
+
+    def test_huge_truncation_is_a_policy_error(self, capsys):
+        # an N x N truncation this size would not fit in memory
+        code, out, err = run(capsys, "analyze", "-m", "0,1/3,2/3:1,1,1",
+                             "--ntrunc", "100000")
+        assert code == 2 and out == ""
+        assert "error [PolicyError]: N_trunc must be an integer <= 1024, got 100000" in err
 
     def test_identity_tolerance_is_enforced(self, capsys, tmp_path):
         pol = tmp_path / "p.json"
@@ -321,6 +332,10 @@ class TestPolicy:
     def test_not_a_json_object(self, text):
         with pytest.raises(PolicyError):
             NumericPolicy.from_json(text)
+
+    def test_largest_sizes_accepted(self):
+        pol = NumericPolicy(N_trunc=1024, oracle_N=1024)
+        assert (pol.N_trunc, pol.oracle_N) == (1024, 1024)
 
     def test_round_trip(self):
         pol = NumericPolicy(l_max=3, N_trunc=16)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 
-from cdsp import build_dirichlet, extract_C, factorize, rotate_measure
+from cdsp import build_dirichlet, extract_C, factorize, parse_measure, rotate_measure
 from cdsp.debranges import eval_S
 from cdsp.errors import CdspError, DegenerateAlphas
 from cdsp.fejer import FejerRiesz
@@ -15,7 +15,12 @@ from cdsp.verdict import (INCONCLUSIVE, NOT_SUBNORMAL, SUBNORMAL_NUMERIC,
 from cdsp.verdict import _log_products
 from conftest import Pipe, random_measures
 
-EQUI8 = ",".join(f"{i}/8" for i in range(8)) + ":" + ",".join(["1"] * 8)
+
+def equi_spaced(k):
+    return ",".join(f"{i}/{k}" for i in range(k)) + ":" + ",".join(["1"] * k)
+
+
+EQUI8 = equi_spaced(8)
 
 
 def s_of(pipe):
@@ -47,7 +52,8 @@ def per_order_truncation(fr, s_eval, l, N):
 
 
 def per_order_decide(fr, s_eval, policy, exhaustive):
-    """(pair_evidence, max_offdiag_norm, psd_probes) of the per-order loop."""
+    """(pair_evidence, max_offdiag_norm, psd_probes, decision) of the
+    per-order loop."""
     k = len(fr.alphas)
     diag = np.array([s_eval(fr.alphas[r], fr.alphas[r]).real for r in range(k)])
     evidence = []
@@ -64,7 +70,34 @@ def per_order_decide(fr, s_eval, policy, exhaustive):
         probes.append(PsdProbe(l, policy.N_trunc, float(eigs[0]), tr))
         if probes[-1].min_eig < -policy.psd_tol * max(abs(tr), 1e-300) and not exhaustive:
             break
-    return evidence, float(max(norms) if norms else 0.0), probes
+    max_norm = float(max(norms) if norms else 0.0)
+    premises_ok = all(ev.premise_ok for ev in evidence)
+    violation = any(p.min_eig < -policy.psd_tol * max(abs(p.trace), 1e-300) for p in probes)
+    if (premises_ok and max_norm > policy.zero_reject) or violation:
+        decision = NOT_SUBNORMAL
+    elif premises_ok and max_norm <= policy.zero_accept:
+        decision = SUBNORMAL_NUMERIC
+    else:
+        decision = INCONCLUSIVE
+    return evidence, max_norm, probes, decision
+
+
+def scalar_root_values(fr, s_eval):
+    """S[r, t] from k^2 scalar calls, one per exterior-root pair."""
+    k = len(fr.alphas)
+    return np.array([[s_eval(fr.alphas[r], fr.alphas[t]) for t in range(k)]
+                     for r in range(k)], dtype=complex)
+
+
+def premises(evidence):
+    return [(ev.r, ev.t, ev.product, ev.premise_ok) for ev in evidence]
+
+
+def broadcast_error(fr, dd):
+    """max |root_values - scalar loop| / max |S| for s_eval = eval_S."""
+    s = lambda z, u: eval_S(dd, z, u)
+    want = scalar_root_values(fr, s)
+    return np.max(np.abs(root_values(fr, s) - want)) / np.max(np.abs(want))
 
 
 class TestPremises:
@@ -155,13 +188,13 @@ class TestDecide:
 
     def test_gray_zone_is_inconclusive(self):
         fr = FejerRiesz(np.array([2.0 + 0j, 3.0j]), 1.0)
-        s = lambda z, u: 1.0 if abs(z - u) < 1e-12 else 1e-5
+        s = lambda z, u: np.where(np.abs(z - u) < 1e-12, 1.0, 1e-5)
         v = decide(fr, s, run_psd=False)
         assert v.decision == INCONCLUSIVE
 
     def test_broken_premise_without_violation_is_inconclusive(self):
         fr = FejerRiesz(np.array([2.0 + 0j, 3.0 + 0j]), 1.0)
-        s = lambda z, u: 1.0 if abs(z - u) < 1e-12 else 0.0
+        s = lambda z, u: np.where(np.abs(z - u) < 1e-12, 1.0, 0.0)
         v = decide(fr, s, run_psd=False)
         assert v.decision == INCONCLUSIVE
 
@@ -211,16 +244,26 @@ class TestDecide:
 
 
 class TestRootValues:
+    # the broadcast call sums each S[r, t] in another order than a scalar
+    # call, so the values agree with the per-order loop to rounding only
     @pytest.mark.parametrize("exhaustive", [False, True])
     def test_decide_matches_per_order_loop(self, reference_pipes, exhaustive):
         policy = NumericPolicy()
         for name, pipe in reference_pipes.items():
             v = decide(pipe.fr, s_of(pipe), policy, exhaustive_psd=exhaustive)
-            evidence, max_norm, probes = per_order_decide(pipe.fr, s_of(pipe),
-                                                          policy, exhaustive)
-            assert v.pair_evidence == evidence, name
-            assert v.max_offdiag_norm == max_norm, name
-            assert v.psd_probes == probes, name
+            evidence, max_norm, probes, decision = per_order_decide(
+                pipe.fr, s_of(pipe), policy, exhaustive)
+            assert v.decision == decision, name
+            assert premises(v.pair_evidence) == premises(evidence), name
+            s_max = np.max(np.abs(scalar_root_values(pipe.fr, s_of(pipe))))
+            for got, want in zip(v.pair_evidence, evidence):
+                assert abs(got.S_rt - want.S_rt) <= 1e-13 * s_max, name
+                assert abs(got.S_scale - want.S_scale) <= 1e-13 * s_max, name
+            assert v.max_offdiag_norm == pytest.approx(max_norm, rel=1e-12, abs=0), name
+            assert [(p.l, p.N) for p in v.psd_probes] == [(p.l, p.N) for p in probes], name
+            for got, want in zip(v.psd_probes, probes):
+                assert abs(got.min_eig - want.min_eig) <= 1e-11 * abs(want.trace), name
+                assert abs(got.trace - want.trace) <= 1e-11 * abs(want.trace), name
 
     @pytest.mark.parametrize("exhaustive", [False, True])
     def test_decide_evaluates_each_root_pair_once(self, reference_pipes, exhaustive):
@@ -228,12 +271,12 @@ class TestRootValues:
             calls = []
 
             def s(z, u, pipe=pipe):
-                calls.append((z, u))
+                calls.append((np.shape(z), np.shape(u)))
                 return eval_S(pipe.dd, z, u)
 
             v = decide(pipe.fr, s, exhaustive_psd=exhaustive)
             k = len(pipe.fr.alphas)
-            assert len(calls) == k * k, name
+            assert calls == [((k, 1), (1, k))], name
             assert np.array_equal(v.S, root_values(pipe.fr, s_of(pipe))), name
 
     def test_moment_truncation_matches_per_order_loop(self, reference_pipes):
@@ -241,7 +284,31 @@ class TestRootValues:
             for l in (1, 2, 7):
                 got = moment_truncation(pipe.fr, s_of(pipe), l, 16)
                 want = per_order_truncation(pipe.fr, s_of(pipe), l, 16)
-                assert np.array_equal(got, want), (name, l)
+                tr = abs(np.trace(want).real)
+                assert np.max(np.abs(got - want)) <= 1e-11 * tr, (name, l)
+                assert abs(np.linalg.eigvalsh(got)[0]
+                           - np.linalg.eigvalsh(want)[0]) <= 1e-11 * tr, (name, l)
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_broadcast_equals_scalar_loop_on_random_measures(self, k):
+        @settings(max_examples=6, deadline=None, derandomize=True)
+        @given(random_measures(k_max=k, k_min=k))
+        def check(spec):
+            try:
+                m = parse_measure(spec)
+                fr = factorize(m)
+                dd = build_dirichlet(m, fr)
+            except CdspError:
+                assume(False)
+            assert broadcast_error(fr, dd) <= 1e-13
+
+        check()
+
+    @pytest.mark.parametrize("k", [3, 8, 16, 24, 32])
+    def test_broadcast_equals_scalar_loop_equi_spaced(self, k):
+        m = parse_measure(equi_spaced(k))
+        fr = factorize(m)
+        assert broadcast_error(fr, build_dirichlet(m, fr)) <= 1e-13
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(random_measures())
