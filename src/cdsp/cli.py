@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -197,7 +196,7 @@ def cmd_kernel(args) -> int:
         "K_B": {"re": kb.real, "im": kb.imag},
         "difference": abs(kt + kp - kb),
     }
-    _emit(json.dumps(out, indent=2), args.out)
+    _emit(report_to_json(out), args.out)
     return 0
 
 

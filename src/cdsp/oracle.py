@@ -21,7 +21,7 @@ random probes run all their trials as one matrix product per step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from math import comb
 from typing import Callable, List
 
@@ -37,6 +37,18 @@ class MonomialModel:
     N: int
     G: np.ndarray  # G[i, j] = <z^j, z^i>, so ||v||^2 = v^H G v
     measure: Measure
+
+    @cached_property
+    def defect(self):
+        """(U, c, H^{-1} U) for the rank-k defect H - Gm = U diag(c) U^H,
+        solved once per model for cauchy_dual_matrix and dual_norm."""
+        pts = np.array(self.measure.points, dtype=complex)
+        wts = np.array(self.measure.weights, dtype=float)
+        U = pts.conj()[None, :] ** np.arange(self.N - 1)[:, None]
+        try:
+            return U, wts, np.linalg.solve(self.G[1:, 1:], U)
+        except np.linalg.LinAlgError as exc:
+            raise Singular("T^*T not invertible on the model") from exc
 
 
 def monomial_gram(m: Measure, N: int) -> MonomialModel:
@@ -119,17 +131,6 @@ def probe_block(rng: np.random.Generator, size: int, trials: int,
     return block
 
 
-def _defect(mm: MonomialModel):
-    """(U, c, H^{-1} U) for the rank-k defect H - Gm = U diag(c) U^H."""
-    pts = np.array(mm.measure.points, dtype=complex)
-    wts = np.array(mm.measure.weights, dtype=float)
-    U = pts.conj()[None, :] ** np.arange(mm.N - 1)[:, None]
-    try:
-        return U, wts, np.linalg.solve(mm.G[1:, 1:], U)
-    except np.linalg.LinAlgError as exc:
-        raise Singular("T^*T not invertible on the model") from exc
-
-
 def cauchy_dual_matrix(mm: MonomialModel) -> np.ndarray:
     """Matrix of T (T^* T)^{-1} on the truncated model, with T^* the
     G-adjoint of the shift.
@@ -142,7 +143,7 @@ def cauchy_dual_matrix(mm: MonomialModel) -> np.ndarray:
     N = mm.N
     # T^*T = Gm^{-1} H on the domain with Gm = H - U diag(c) U^H,
     # so (T^*T)^{-1} = H^{-1} Gm = I - H^{-1} U diag(c) U^H: k right-hand sides
-    U, c, HiU = _defect(mm)
+    U, c, HiU = mm.defect
     # written in place, as N x N temporaries at 2N = 128 cost fresh memory pages
     Tp = np.zeros((N, N), dtype=complex)
     inv = Tp[1:, : N - 1]  # T moves row i of (T^*T)^{-1} to row i + 1
@@ -164,7 +165,7 @@ def dual_norm(mm: MonomialModel) -> float:
     diag(c)^{1/2} U^H H^{-1} U diag(c)^{1/2} (the atoms are distinct, so
     U has full rank).
     """
-    U, c, HiU = _defect(mm)
+    U, c, HiU = mm.defect
     k = len(c)
     rank = min(mm.N - 1, k)
     r = np.sqrt(c)

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import replace
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Optional
 
 import numpy as np
@@ -27,6 +27,12 @@ def _atom_json(pt, wt):
     if pt.exact_turns is not None:
         return {"turns": str(pt.exact_turns), "weight": wt}
     return {"angle": float(np.angle(pt.value)), "weight": wt}
+
+
+def cmatrix_json(M) -> list:
+    """Rows of {"re", "im"} dicts, read through one ``tolist`` call."""
+    return [[{"re": z.real, "im": z.imag} for z in row]
+            for row in np.asarray(M, dtype=complex).tolist()]
 
 
 def measure_json(m: Measure) -> dict:
@@ -95,13 +101,13 @@ def build_report(res: PipelineResult, include_timings: bool = True) -> dict:
             "identity_residual": res.identity_residual,
         },
         "gram": {
-            "D": [[cjson(z) for z in row] for row in res.dd.D],
-            "B": [[cjson(z) for z in row] for row in res.dd.B],
+            "D": cmatrix_json(res.dd.D),
+            "B": cmatrix_json(res.dd.B),
             "asymmetry": res.dd.gram_asymmetry,
         },
         "hermitian_form": {
-            "C": [[cjson(z) for z in row] for row in res.hf.C],
-            "P": [[cjson(z) for z in row] for row in res.hf.P],
+            "C": cmatrix_json(res.hf.C),
+            "P": cmatrix_json(res.hf.P),
         },
         "S": {
             "diagonal": v.S.diagonal().real.tolist(),
@@ -130,7 +136,63 @@ def build_report(res: PipelineResult, include_timings: bool = True) -> dict:
 
 
 def report_to_json(rep: dict) -> str:
-    return json.dumps(rep, indent=2, sort_keys=False)
+    """The text of ``json.dumps(rep, indent=2)``, byte for byte.
+
+    CPython 3.10/3.11 run the pure-Python encoder whenever ``indent`` is
+    set; this writer builds the same text from whole strings per container.
+    Dict keys must be ``str``; a value json cannot encode raises TypeError.
+    """
+    return _json_value(rep, "")
+
+
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_float_repr = float.__repr__
+
+
+def _json_float(x) -> str:
+    r = _float_repr(x)
+    return _FLOAT_WORDS.get(r, r)
+
+
+def _json_value(v, pad: str) -> str:
+    # finite floats (x - x == 0.0), the bulk of a report, are spelled in the
+    # containers' comprehensions without a call per value
+    t = type(v)
+    if t is float:
+        return _json_float(v)
+    if t is dict:
+        if not v:
+            return "{}"
+        inner = pad + "  "
+        return ("{\n" + inner + (",\n" + inner).join([
+            _json_str(key) + ": " + (_float_repr(x) if type(x) is float and x - x == 0.0
+                                     else _json_value(x, inner))
+            for key, x in v.items()]) + "\n" + pad + "}")
+    if t is list or t is tuple:
+        if not v:
+            return "[]"
+        inner = pad + "  "
+        return ("[\n" + inner + (",\n" + inner).join([
+            _float_repr(x) if type(x) is float and x - x == 0.0 else _json_value(x, inner)
+            for x in v]) + "\n" + pad + "]")
+    # everything else in the order json.encoder tests it
+    if isinstance(v, str):
+        return _json_str(v)
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, float):
+        return _json_float(v)
+    if isinstance(v, (list, tuple)):
+        return _json_value(list(v), pad)
+    if isinstance(v, dict):
+        return _json_value(dict(v), pad)
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
 # ---------------------------------------------------------------------------

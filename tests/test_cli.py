@@ -170,6 +170,17 @@ class TestAnalyze:
         assert reps[0] == reps[1]
 
 
+@pytest.mark.parametrize("argv", [
+    ("analyze", "-m", "0,1/3,2/3:1,1,1", "--oracle"),
+    ("paper-check",),
+    ("kernel", "-m", "0,1/3,2/3:1,1,1", "--z", "0.3,0.1", "--lam=-0.2,0.4"),
+], ids=["analyze", "paper-check", "kernel"])
+def test_prints_json_dumps_indent_2_text(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 class TestPaperCheck:
     def test_default_all_pass(self, capsys):
         code, out, err = run(capsys, "paper-check")

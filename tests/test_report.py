@@ -1,0 +1,100 @@
+"""The report writer: ``report_to_json`` spells ``json.dumps(v, indent=2)``."""
+
+import json
+from collections import OrderedDict, namedtuple
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cdsp.report import analyze, report_to_json
+
+SPECIAL_FLOATS = [0.0, -0.0, float("nan"), float("inf"), float("-inf"),
+                  5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+                  1.7976931348623157e308, 0.1, 1e16, 1e-5]
+
+floats = (st.floats(allow_nan=True, allow_infinity=True)
+          | st.sampled_from(SPECIAL_FLOATS))
+scalars = (floats
+           | floats.map(np.float64)
+           | st.integers()
+           | st.booleans()
+           | st.none()
+           | st.text())
+json_values = st.recursive(
+    scalars,
+    lambda inner: (st.lists(inner, max_size=5)
+                   | st.lists(inner, max_size=5).map(tuple)
+                   | st.dictionaries(st.text(), inner, max_size=5)),
+    max_leaves=40)
+
+
+class TestWriter:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(json_values)
+    def test_equals_json_dumps(self, value):
+        assert report_to_json(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [
+        {}, [], (), {"": []}, [[], {}, ()],
+        {"quote\"back\\slash": "tab\tnew\nline", "é ünï ∑ 𝔇": "\x00\x1f "},
+        [0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 1e308, -1e308],
+        [np.float64(0.1), np.float64("nan"), np.float64(-0.0), np.float64("-inf")],
+        [True, False, None, 0, -1, 2 ** 70],
+    ], ids=["empty-dict", "empty-list", "empty-tuple", "empty-key", "empty-nested",
+            "escapes", "floats", "np-float64", "int-bool-none"])
+    def test_edge_values(self, value):
+        assert report_to_json(value) == json.dumps(value, indent=2)
+
+    def test_subclasses_are_written_as_their_base_type(self):
+        class Count(int):
+            def __repr__(self):
+                return "Count()"
+
+        class Label(str):
+            pass
+
+        Pair = namedtuple("Pair", "a b")
+        value = OrderedDict(n=Count(3), s=Label("x"), p=Pair(1.5, [Pair(-0.0, None)]))
+        assert report_to_json(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("bad", [np.int64(3), 1j, {1, 2}],
+                             ids=["np-int64", "complex", "set"])
+    def test_rejects_what_json_rejects(self, bad):
+        for value in (bad, [1.0, bad], {"a": {"b": bad}}):
+            with pytest.raises(TypeError):
+                json.dumps(value, indent=2)
+            with pytest.raises(TypeError):
+                report_to_json(value)
+
+    def test_keys_must_be_str(self):
+        with pytest.raises(TypeError):
+            report_to_json({1: 2.0})
+
+
+def _equi(k):
+    return ",".join(f"{i}/{k}" for i in range(k)) + ":" + ",".join(["1"] * k)
+
+
+def _random_spec(seed, k):
+    """k atoms at n/997 turns with chords >= 0.1 and weights in [0.25, 4]."""
+    rng = np.random.default_rng(seed)
+    while True:
+        n = np.sort(rng.choice(997, size=k, replace=False))
+        gaps = np.diff(np.r_[n, n[0] + 997]) / 997
+        if 2.0 * np.sin(np.pi * gaps.min()) >= 0.1:
+            break
+    w = rng.uniform(0.25, 4.0, k)
+    return ",".join(f"{x}/997" for x in n) + ":" + ",".join(repr(float(x)) for x in w)
+
+
+@pytest.mark.parametrize("spec, kwargs", [
+    ("0,1/3,2/3:1,1,1", {"with_oracle": True, "exhaustive_psd": True}),
+    ("0,1/2:1,1", {}),
+    (_equi(8), {}),
+    (_equi(16), {}),
+    (_random_spec(7, 7), {}),
+], ids=["ref3-oracle-exhaustive", "antipodal", "equi8", "equi16", "random7"])
+def test_pipeline_report_is_json_dumps(spec, kwargs):
+    rep = analyze(spec, **kwargs)
+    assert report_to_json(rep) == json.dumps(rep, indent=2)
