@@ -43,13 +43,13 @@ def _policy_from_args(args) -> NumericPolicy:
 
 
 def _emit(text: str, out_path):
+    if not text.endswith("\n"):
+        text += "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
 
 
 def cmd_analyze(args) -> int:

@@ -9,7 +9,8 @@ function O = p/q,
 
 whose deflated numerators d_j = p/(z - zeta_j) are products that omit the
 factor (z - zeta_j) (``OuterData.parts``), so S can be evaluated anywhere,
-including at the atoms and at the exterior roots.
+including at the atoms and at the exterior roots.  Its coefficient matrix C
+is a discrete Fourier transform of S on the unit circle (``extract_C``).
 """
 
 from __future__ import annotations
@@ -60,25 +61,19 @@ def eval_S(dd: DirichletData, z, u):
     return out
 
 
-def extract_C(dd: DirichletData, radius: float = 0.7) -> HermForm:
-    """Recover the coefficients of z^m conj(u)^n (m,n = 1..k) by
-    interpolation on a tensor grid; doubles as a consistency check on the
-    rational evaluation of S."""
+def extract_C(dd: DirichletData) -> HermForm:
+    """Coefficients of z^m conj(u)^n (m,n = 1..k) from S on the k rotated
+    k-th roots of unity, where V[a, m-1] = node_a^m has V^H V = k I: so
+    S_grid = V C V^H gives C = V^H S_grid V / k^2, with no solve and no
+    conditioning loss at any k; the refit checks the evaluation of S."""
     k = dd.measure.k
-    for r in (radius, 1.3 * radius):
-        nodes = r * np.exp(2j * np.pi * np.arange(k) / k + 0.37j)
-        V = np.array([[zn ** m for m in range(1, k + 1)] for zn in nodes])
-        cond = np.linalg.cond(V)
-        if cond <= 1e10:
-            break
-    else:
-        raise IllConditioned(f"interpolation nodes with condition {cond:.3e}")
+    nodes = np.exp(2j * np.pi * np.arange(k) / k + 0.37j)
+    V = nodes[:, None] ** np.arange(1, k + 1)
     S_grid = eval_S(dd, nodes[:, None], nodes[None, :])
-    # S_grid = V C V^H
-    Y = nx.solve_linear(V, S_grid)            # Y = C V^H
-    C = nx.solve_linear(V, Y.conj().T).conj().T
+    C = V.conj().T @ S_grid @ V / k ** 2
     C = 0.5 * (C + C.conj().T)
-    # refit residual
+    # refit residual: V / sqrt(k) is unitary, so this is the anti-Hermitian
+    # part of S_grid, which a correct evaluation of S leaves at rounding level
     refit = V @ C @ V.conj().T
     scale = max(float(np.max(np.abs(S_grid))), 1e-300)
     if np.max(np.abs(refit - S_grid)) > 1e-9 * scale:

@@ -58,7 +58,7 @@ class DegenerateAtom(CdspError):
 
 
 class IllConditioned(CdspError):
-    """An interpolation system is too ill-conditioned to trust."""
+    """The coefficients of S do not refit S on the unit-circle grid (its samples are not Hermitian)."""
 
 
 class DegenerateAlphas(CdspError):

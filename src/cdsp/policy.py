@@ -24,17 +24,19 @@ class NumericPolicy:
     seed: int = 20240901
 
     def __post_init__(self):
-        if not (0 < self.zero_accept < self.zero_reject):
-            raise PolicyError("zero_accept must be positive and below zero_reject")
-        for name in ("root_tol", "identity_tol", "psd_tol"):
-            if not getattr(self, name) > 0:
-                raise PolicyError(f"{name} must be positive")
+        # bool is an int subclass, so JSON true/false would pass as 1/0
+        for name in ("root_tol", "identity_tol", "zero_accept", "zero_reject", "psd_tol"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not value > 0:
+                raise PolicyError(f"{name} must be a positive real number, got {value!r}")
+        if not self.zero_accept < self.zero_reject:
+            raise PolicyError("zero_accept must be below zero_reject")
         # oracle_N >= 9: the oracle's probe vectors leave the top 8 coefficients free;
         # N_trunc, oracle_N <= MAX_N keep the probe and oracle matrices to tens of MB
         for name, low, high in (("l_max", 1, None), ("N_trunc", 1, MAX_N),
                                 ("oracle_N", 9, MAX_N), ("seed", 0, None)):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < low:
+            if isinstance(value, bool) or not isinstance(value, int) or value < low:
                 raise PolicyError(f"{name} must be an integer >= {low}, got {value!r}")
             if high is not None and value > high:
                 raise PolicyError(f"{name} must be an integer <= {high}, got {value!r}")

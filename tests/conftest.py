@@ -45,6 +45,11 @@ X_CONST = _REF["x"]
 W_CONST = _REF["w"]
 
 
+def equi_spaced(k):
+    """k unit-weight atoms at the k-th roots of unity."""
+    return ",".join(f"{i}/{k}" for i in range(k)) + ":" + ",".join(["1"] * k)
+
+
 @st.composite
 def random_measures(draw, k_max=5, k_min=2):
     """k = k_min..k_max atoms at n/997 turns, chords >= 0.1, weights in [0.25, 4]."""

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 import sys
 
 import numpy as np
@@ -63,7 +64,15 @@ class TestAnalyze:
         dest = tmp_path / "rep.json"
         code, out, _ = run(capsys, "analyze", "-m", "0:1", "--out", str(dest))
         assert code == 0 and out == ""
-        assert json.loads(dest.read_text())["schema"] == 1
+        text = dest.read_bytes().decode("utf-8")
+        assert json.loads(text)["schema"] == 1
+        # the file holds the stdout text byte for byte, up to the run's own time
+        code, out, _ = run(capsys, "analyze", "-m", "0:1")
+        assert code == 0
+
+        def untimed(s):
+            return re.sub(r'"total_s": [^\n]*', '"total_s": 0', s)
+        assert text.endswith("}\n") and untimed(text) == untimed(out)
 
     def test_policy_file_and_overrides(self, capsys, tmp_path):
         pol = tmp_path / "p.json"
@@ -116,7 +125,11 @@ class TestAnalyze:
                                           ({"N_trunc": 1025}, "N_trunc"),
                                           ({"N_trunc": 100000}, "N_trunc"),
                                           ({"oracle_N": 1025}, "oracle_N"),
-                                          ({"oracle_N": 100000}, "oracle_N")])
+                                          ({"oracle_N": 100000}, "oracle_N"),
+                                          ({"psd_tol": "abc"}, "psd_tol"),
+                                          ({"zero_accept": None}, "zero_accept"),
+                                          ({"identity_tol": [1]}, "identity_tol"),
+                                          ({"l_max": True}, "l_max")])
     def test_bad_policy_file_names_key(self, capsys, tmp_path, doc, key):
         pol = tmp_path / "p.json"
         pol.write_text(json.dumps(doc))

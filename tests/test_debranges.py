@@ -1,13 +1,15 @@
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 
-from cdsp import build_dirichlet, factorize, parse_measure
+from cdsp import NumericPolicy, PipelineResult, build_dirichlet, factorize, parse_measure
 from cdsp.debranges import eval_S, extract_C, factor_P, kernel_KB, make_schur
 from cdsp.dirichlet import kernel_full
-from cdsp.errors import CdspError
-from conftest import ALPHA_CONST, B_CONST, W_CONST, X_CONST, random_measures
+from cdsp.errors import CdspError, NotPSD
+from cdsp.report import analyze
+from conftest import (ALPHA_CONST, B_CONST, W_CONST, X_CONST, equi_spaced,
+                      random_measures)
 
 
 def eval_S_from_P(P: np.ndarray, z, u):
@@ -59,6 +61,29 @@ def eval_S_mp(dd, d, z, u):
     cross = mp.fsum(mp.conj(mp.mpc(dd.B[j, i])) / (op[j] * mp.conj(op[i]))
                     * dz[j] * mp.conj(du[i]) for j in range(k) for i in range(k))
     return qz * mp.conj(qu) - pz * mp.conj(pu) - (1 - z * mp.conj(u)) * cross
+
+
+def dft_C_mp(dd, d):
+    """C at mpmath's working precision: the unit-circle DFT of eval_S_mp,
+    C = V^H S_grid V / k^2 with V[a, m-1] = node_a^m."""
+    k = dd.measure.k
+    nodes = [mp.expj(2 * mp.pi * a / k + mp.mpf("0.37")) for a in range(k)]
+    V = mp.matrix([[z ** m for m in range(1, k + 1)] for z in nodes])
+    S = mp.matrix([[eval_S_mp(dd, d, z, u) for u in nodes] for z in nodes])
+    C = V.H * S * V / k ** 2
+    return np.array([[complex(C[i, j]) for j in range(k)] for i in range(k)])
+
+
+def seeded_measure(seed, k):
+    """k atoms at n/997 turns with chords >= 0.1, weights in [0.25, 4]."""
+    rng = np.random.default_rng(seed)
+    while True:
+        n = np.sort(rng.choice(997, size=k, replace=False))
+        gaps = np.diff(np.append(n, n[0] + 997)) / 997
+        if 2.0 * np.sin(np.pi * gaps.min()) >= 0.1:
+            break
+    w = rng.uniform(0.25, 4.0, size=k)
+    return ",".join(f"{x}/997" for x in n) + ":" + ",".join(repr(float(x)) for x in w)
 
 
 class TestEvalS:
@@ -144,6 +169,39 @@ class TestExtractC:
         for pipe in pipes.values():
             C = pipe.hf.C
             assert np.linalg.norm(C - C.conj().T) < 1e-10
+
+    @pytest.mark.parametrize("spec", [equi_spaced(8), seeded_measure(1, 6),
+                                      seeded_measure(2, 8)],
+                             ids=["equi8", "random6", "random8"])
+    def test_matches_high_precision_dft(self, spec):
+        m = parse_measure(spec)
+        fr = factorize(m)
+        dd = build_dirichlet(m, fr)
+        mp.mp.dps = 40
+        want = dft_C_mp(dd, fr.d)
+        got = extract_C(dd).C
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("k", [29, 33, 38, 48, 64])
+    def test_large_equi_spaced_decides(self, k):
+        assert analyze(equi_spaced(k))["verdict"]["decision"] == "NotSubnormal"
+
+    # the explicit k = 13 and 16 examples have cond(C) of 1.5e10 and 6e8, so a
+    # coefficient error near 1e-10 max|C| already drives a Cholesky pivot negative
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(random_measures(k_max=16, k_min=9))
+    @example("17/997,98/997,134/997,266/997,359/997,487/997,575/997,656/997,709/997,"
+             "907/997,925/997,943/997,972/997:"
+             "2.32,0.94,3.18,0.77,0.51,0.32,3.35,2.83,2.73,3.67,2.89,0.4,0.52")
+    @example("24/997,90/997,106/997,136/997,155/997,278/997,331/997,408/997,476/997,"
+             "492/997,640/997,659/997,728/997,824/997,861/997,981/997:"
+             "2.5,3,1.09,2.91,3.95,1.27,2.13,2.29,3.58,1.53,1.98,3.43,3.07,1.55,3.91,3.72")
+    def test_random_measures_are_never_not_psd(self, spec):
+        try:
+            PipelineResult(parse_measure(spec), NumericPolicy())
+        except NotPSD as exc:
+            pytest.fail(f"{spec}: {exc}")
 
 
 class TestFactorP:

@@ -7,11 +7,7 @@ from hypothesis import given, settings
 from cdsp import (NumericPolicy, PipelineResult, build_trig, factorize, parse_measure,
                   rotate_measure, verify_identity)
 from cdsp.errors import IdentityResidual, RootOnCircle
-from conftest import ALPHA_CONST, B_CONST, random_measures
-
-
-def equi(k):
-    return ",".join(f"{i}/{k}" for i in range(k)) + ":" + ",".join(["1"] * k)
+from conftest import ALPHA_CONST, B_CONST, equi_spaced, random_measures
 
 
 def coefficient_roots(m):
@@ -145,7 +141,7 @@ class TestFactorize:
 class TestEquiSpaced:
     @pytest.mark.parametrize("k", range(3, 25))
     def test_decides_not_subnormal(self, k):
-        res = PipelineResult(parse_measure(equi(k)), NumericPolicy())
+        res = PipelineResult(parse_measure(equi_spaced(k)), NumericPolicy())
         assert res.verdict.decision == "NotSubnormal"
         assert res.identity_residual <= 1e-12
 
@@ -153,13 +149,13 @@ class TestEquiSpaced:
     def test_sorted_by_angle_from_zero(self, k):
         # alpha_j = alpha_0 e^{2 pi i j/k}: signed-zero imaginary parts must not
         # move the root at angle pi (or 0) to the other end of the order
-        alphas = factorize(parse_measure(equi(k))).alphas
+        alphas = factorize(parse_measure(equi_spaced(k))).alphas
         want = abs(alphas[0]) * np.exp(2j * np.pi * np.arange(k) / k)
         assert np.allclose(alphas, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("k", [16, 24])
     def test_rotation_equivariance(self, k):
-        m = parse_measure(equi(k))
+        m = parse_measure(equi_spaced(k))
         fr = factorize(m)
         fr_rot = factorize(rotate_measure(m, Fraction(1, 7 * k)))
         rotated = fr.alphas * np.exp(2j * np.pi / (7 * k))

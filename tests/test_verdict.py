@@ -13,11 +13,7 @@ from cdsp.verdict import (INCONCLUSIVE, NOT_SUBNORMAL, SUBNORMAL_NUMERIC,
                           PairEvidence, PsdProbe, decide, moment_truncation, offdiag_sums,
                           pair_premises, psd_search, root_values)
 from cdsp.verdict import _log_products
-from conftest import Pipe, random_measures
-
-
-def equi_spaced(k):
-    return ",".join(f"{i}/{k}" for i in range(k)) + ":" + ",".join(["1"] * k)
+from conftest import Pipe, equi_spaced, random_measures
 
 
 EQUI8 = equi_spaced(8)
