@@ -42,14 +42,22 @@ def _policy_from_args(args) -> NumericPolicy:
     return replace(policy, **{k: v for k, v in overrides.items() if v is not None})
 
 
-def _emit(text: str, out_path):
+def _emit(text: str, out_path) -> bool:
+    """Write ``text`` to ``out_path`` or stdout; an unwritable path prints
+    one error line and returns False."""
     if not text.endswith("\n"):
         text += "\n"
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return True
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error [{type(exc).__name__}]: cannot write output file {out_path!r}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def cmd_analyze(args) -> int:
@@ -61,8 +69,7 @@ def cmd_analyze(args) -> int:
     except CdspError as exc:
         print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 2
-    _emit(report_to_json(rep), args.out)
-    return 0
+    return 0 if _emit(report_to_json(rep), args.out) else 2
 
 
 def cmd_paper_check(args) -> int:
@@ -71,7 +78,8 @@ def cmd_paper_check(args) -> int:
     except CdspError as exc:
         print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 2
-    _emit(report_to_json(rep), args.out)
+    if not _emit(report_to_json(rep), args.out):
+        return 2
     for it in rep["items"]:
         print(f"{it['status']:>15}  {it['name']}", file=sys.stderr)
     return 0 if rep["all_passed"] else 1
@@ -116,7 +124,8 @@ def cmd_sweep(args) -> int:
     writer.writeheader()
     for row in rows:
         writer.writerow(row)
-    _emit(buf.getvalue(), args.out)
+    if not _emit(buf.getvalue(), args.out):
+        return 2
     flagged = [r for r in rows if r["verdict"] == "SubnormalNumeric"]
     for r in flagged:
         print(f"FLAG: SubnormalNumeric at theta2={r['theta2']} "
@@ -196,8 +205,7 @@ def cmd_kernel(args) -> int:
         "K_B": {"re": kb.real, "im": kb.imag},
         "difference": abs(kt + kp - kb),
     }
-    _emit(report_to_json(out), args.out)
-    return 0
+    return 0 if _emit(report_to_json(out), args.out) else 2
 
 
 def make_parser() -> argparse.ArgumentParser:

@@ -19,18 +19,24 @@ from .errors import ParseError, ValidationError
 MIN_CHORDAL_DISTANCE = 1e-9
 
 
+# exact values for the common roots of unity used throughout, keyed by
+# (numerator, denominator) of the turns reduced mod 1
+_EXACT_UNITS = {
+    (0, 1): 1 + 0j,
+    (1, 2): -1 + 0j,
+    (1, 4): 1j,
+    (3, 4): -1j,
+}
+
+
 def _unit_from_turns(t: Fraction) -> complex:
-    t = t - math.floor(t)  # reduce mod 1
-    # exact values for the common roots of unity used throughout
-    table = {
-        Fraction(0): 1 + 0j,
-        Fraction(1, 2): -1 + 0j,
-        Fraction(1, 4): 1j,
-        Fraction(3, 4): -1j,
-    }
-    if t in table:
-        return table[t]
-    ang = 2.0 * math.pi * float(t)
+    # t mod 1 is (n mod d) / d, still in lowest terms, and its float is the
+    # correctly rounded quotient that float(Fraction) returns
+    n, d = t.numerator % t.denominator, t.denominator
+    unit = _EXACT_UNITS.get((n, d))
+    if unit is not None:
+        return unit
+    ang = 2.0 * math.pi * (n / d)
     return complex(math.cos(ang), math.sin(ang))
 
 

@@ -153,8 +153,7 @@ def cholesky_herm(M, tol: float = 1e-10) -> np.ndarray:
             # clamped pivot: row contributes nothing
             continue
         L[j, j] = np.sqrt(d)
-        for i in range(j + 1, n):
-            L[i, j] = (A[i, j] - np.vdot(L[j, :j], L[i, :j])) / L[j, j]
+        L[j + 1:, j] = (A[j + 1:, j] - L[j + 1:, :j] @ np.conj(L[j, :j])) / L[j, j]
     U = L.conj().T
     recon = U.conj().T @ U
     if np.linalg.norm(recon - A) > max(tol, 1e-10) * max(np.linalg.norm(A), 1e-300) * 10:

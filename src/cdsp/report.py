@@ -113,9 +113,8 @@ def build_report(res: PipelineResult, include_timings: bool = True) -> dict:
             "diagonal": v.S.diagonal().real.tolist(),
             "offdiagonal": [
                 {"r": ev.r, "t": ev.t, "value": cjson(ev.S_rt),
-                 "normalized": abs(ev.S_rt) / ev.S_scale,
-                 "premise_ok": ev.premise_ok}
-                for ev in v.pair_evidence
+                 "normalized": norm, "premise_ok": ev.premise_ok}
+                for ev, norm in zip(v.pair_evidence, vd.offdiag_norms(v.pair_evidence))
             ],
         },
         "verdict": {
@@ -147,11 +146,38 @@ def report_to_json(rep: dict) -> str:
 
 _FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _float_repr = float.__repr__
+# members of these exact types are spelled without a call of _json_value;
+# subclasses (an int subclass may override __repr__) take the general path
+_SCALAR_WORDS = {
+    str: _json_str,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
 
 
 def _json_float(x) -> str:
     r = _float_repr(x)
     return _FLOAT_WORDS.get(r, r)
+
+
+def _complex_template(pad: str) -> str:
+    """Text of {"re": %r, "im": %r} at indent ``pad``."""
+    inner = pad + "  "
+    return "{\n" + inner + '"re": %r,\n' + inner + '"im": %r\n' + pad + "}"
+
+
+def _json_member(x, pad: str, cplx: str) -> str:
+    """Text of a container member other than a finite float; ``cplx`` is
+    ``_complex_template(pad)``."""
+    if type(x) is dict and len(x) == 2:
+        # a complex entry of the report: exactly {"re": float, "im": float},
+        # both finite, in that key order
+        (k1, re), (k2, im) = x.items()
+        if (k1 == "re" and k2 == "im" and type(re) is float and type(im) is float
+                and re - re + (im - im) == 0.0):
+            return cplx % (re, im)
+    return _json_value(x, pad)
 
 
 def _json_value(v, pad: str) -> str:
@@ -164,16 +190,21 @@ def _json_value(v, pad: str) -> str:
         if not v:
             return "{}"
         inner = pad + "  "
+        cplx = _complex_template(inner)
         return ("{\n" + inner + (",\n" + inner).join([
             _json_str(key) + ": " + (_float_repr(x) if type(x) is float and x - x == 0.0
-                                     else _json_value(x, inner))
+                                     else _SCALAR_WORDS[type(x)](x) if type(x) in _SCALAR_WORDS
+                                     else _json_member(x, inner, cplx))
             for key, x in v.items()]) + "\n" + pad + "}")
     if t is list or t is tuple:
         if not v:
             return "[]"
         inner = pad + "  "
+        cplx = _complex_template(inner)
         return ("[\n" + inner + (",\n" + inner).join([
-            _float_repr(x) if type(x) is float and x - x == 0.0 else _json_value(x, inner)
+            _float_repr(x) if type(x) is float and x - x == 0.0
+            else _SCALAR_WORDS[type(x)](x) if type(x) in _SCALAR_WORDS
+            else _json_member(x, inner, cplx)
             for x in v]) + "\n" + pad + "]")
     # everything else in the order json.encoder tests it
     if isinstance(v, str):

@@ -13,7 +13,7 @@ Two routes feed the verdict:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -26,8 +26,7 @@ SUBNORMAL_NUMERIC = "SubnormalNumeric"
 INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass(frozen=True)
-class PairEvidence:
+class PairEvidence(NamedTuple):
     r: int
     t: int
     product: complex
@@ -55,18 +54,29 @@ class Verdict:
     S: np.ndarray = field(compare=False, repr=False)
 
 
+def _pair_columns(fr: FejerRiesz):
+    """Row-major (r, t) pairs with r != t: the mask selecting them from a
+    k x k array and their r, t, alpha_r conj(alpha_t) and premise flag as
+    lists; premise_ok iff the product stays off the ray [1, inf)."""
+    alphas = fr.alphas
+    k = len(alphas)
+    offdiag = ~np.eye(k, dtype=bool)
+    r, t = np.nonzero(offdiag)
+    # the scalar product's formula in real arithmetic: numpy's complex array
+    # multiply may fuse it and round alpha_r conj(alpha_t) differently
+    a, b = alphas[:, None], np.conj(alphas)[None, :]
+    prod = np.empty((k, k), dtype=complex)
+    prod.real = a.real * b.real - a.imag * b.imag
+    prod.imag = a.real * b.imag + a.imag * b.real
+    prod = prod[offdiag]
+    on_ray = (np.abs(prod.imag) <= 1e-10) & (prod.real >= 1.0 - 1e-10)
+    return offdiag, r.tolist(), t.tolist(), prod.tolist(), (~on_ray).tolist()
+
+
 def pair_premises(fr: FejerRiesz) -> List[PairEvidence]:
     """premise_ok iff alpha_r conj(alpha_t) stays off the ray [1, inf)."""
-    out = []
-    k = len(fr.alphas)
-    for r in range(k):
-        for t in range(k):
-            if r == t:
-                continue
-            prod = complex(fr.alphas[r] * np.conj(fr.alphas[t]))
-            on_ray = abs(prod.imag) <= 1e-10 and prod.real >= 1.0 - 1e-10
-            out.append(PairEvidence(r, t, prod, not on_ray))
-    return out
+    _, *columns = _pair_columns(fr)
+    return list(map(PairEvidence, *columns))
 
 
 def root_values(fr: FejerRiesz, s_eval: Callable) -> np.ndarray:
@@ -83,13 +93,15 @@ def root_values(fr: FejerRiesz, s_eval: Callable) -> np.ndarray:
 def offdiag_sums(fr: FejerRiesz, S: np.ndarray) -> List[PairEvidence]:
     """Attach the root values S[r, t] of ``root_values`` to the premise
     evidence, scaled by sqrt(S[r, r] S[t, t])."""
-    diag = S.diagonal().real
-    out = []
-    for ev in pair_premises(fr):
-        s_rt = complex(S[ev.r, ev.t])
-        scale = float(np.sqrt(max(diag[ev.r], 1e-300) * max(diag[ev.t], 1e-300)))
-        out.append(PairEvidence(ev.r, ev.t, ev.product, ev.premise_ok, s_rt, scale))
-    return out
+    offdiag, *columns = _pair_columns(fr)
+    diag = np.maximum(S.diagonal().real, 1e-300)
+    scale = np.sqrt(diag[:, None] * diag[None, :])[offdiag]
+    return list(map(PairEvidence, *columns, S[offdiag].tolist(), scale.tolist()))
+
+
+def offdiag_norms(evidence: List[PairEvidence]) -> List[float]:
+    """|S_rt| / S_scale of each pair, as the zero test and the report read it."""
+    return [abs(ev.S_rt) / ev.S_scale for ev in evidence]
 
 
 def _log_products(alphas: np.ndarray) -> np.ndarray:
@@ -158,11 +170,10 @@ def decide(fr: FejerRiesz, s_eval: Callable,
     S = root_values(fr, s_eval)
     evidence = offdiag_sums(fr, S)
     premises_ok = all(ev.premise_ok for ev in evidence)
-    norms = [abs(ev.S_rt) / ev.S_scale for ev in evidence]
-    max_norm = max(norms) if norms else 0.0
+    max_norm = max(offdiag_norms(evidence), default=0.0)
     probes = []
     violation = False
-    if run_psd and len(fr.alphas) >= 1:
+    if run_psd:
         probes = psd_search(fr, S, policy.l_max, policy.N_trunc,
                             psd_tol=policy.psd_tol, exhaustive=exhaustive_psd)
         violation = any(p.min_eig < -policy.psd_tol * max(abs(p.trace), 1e-300)

@@ -194,6 +194,23 @@ def test_prints_json_dumps_indent_2_text(capsys, argv):
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("analyze", "-m", "0,1/3,2/3:1,1,1"),
+    ("paper-check",),
+    ("sweep", "--grid", "2"),
+    ("kernel", "-m", "0,1/3,2/3:1,1,1", "--z", "0.3,0.1", "--lam=-0.2,0.4"),
+], ids=["analyze", "paper-check", "sweep", "kernel"])
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_unwritable_out_is_an_error_line(capsys, tmp_path, argv, target):
+    # exit 2, not paper-check's 1 for a failed check, and no traceback
+    dest = tmp_path / "none" / "x.out" if target == "missing-dir" else tmp_path
+    code, out, err = run(capsys, *argv, "--out", str(dest))
+    assert code == 2 and out == ""
+    assert err.startswith("error [") and "Traceback" not in err
+    assert f"cannot write output file {str(dest)!r}" in err
+    assert err.count("\n") == 1
+
+
 class TestPaperCheck:
     def test_default_all_pass(self, capsys):
         code, out, err = run(capsys, "paper-check")

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from cdsp import parse_measure, rotate_measure
 from cdsp.errors import ParseError, ValidationError
-from cdsp.measure import CirclePoint, Measure
+from cdsp.measure import CirclePoint, Measure, _unit_from_turns
 
 
 class TestParse:
@@ -100,3 +101,26 @@ class TestRotate:
         m = parse_measure('{"atoms": [{"angle": 0.5, "weight": 1}]}')
         r = rotate_measure(m, Fraction(1, 2))
         assert abs(r.points[0] + m.points[0]) < 1e-15
+
+
+def fraction_unit_from_turns(t):
+    """_unit_from_turns as first written: reduce t mod 1 as a Fraction."""
+    t = t - math.floor(t)
+    table = {Fraction(0): 1 + 0j, Fraction(1, 2): -1 + 0j,
+             Fraction(1, 4): 1j, Fraction(3, 4): -1j}
+    if t in table:
+        return table[t]
+    ang = 2.0 * math.pi * float(t)
+    return complex(math.cos(ang), math.sin(ang))
+
+
+class TestUnitFromTurns:
+    def test_equals_fraction_reduction(self):
+        rng = np.random.default_rng(4)
+        turns = [Fraction(n, d) for d in (1, 2, 3, 4, 7, 8, 997) for n in range(-17, 18)]
+        turns += [Fraction(int(n), int(d)) for n, d in zip(rng.integers(-10 ** 9, 10 ** 9, 400),
+                                                          rng.integers(1, 10 ** 6, 400))]
+        turns += [Fraction(10 ** 40 + 1, 4), Fraction(-(10 ** 40) - 3, 4)]
+        for t in turns:
+            # repr tells -0.0 from 0.0
+            assert repr(_unit_from_turns(t)) == repr(fraction_unit_from_turns(t)), t

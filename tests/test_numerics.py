@@ -125,6 +125,82 @@ class TestCholesky:
             nx.cholesky_herm(np.diag([1.0, -1.0]))
 
 
+def loop_cholesky(M):
+    """cholesky_herm as first written: one np.vdot per entry below the pivot."""
+    A = np.array(M, dtype=complex)
+    A = 0.5 * (A + A.conj().T)
+    n = A.shape[0]
+    tr = max(float(np.trace(A).real), float(np.max(np.abs(A))), 1e-300)
+    L = np.zeros((n, n), dtype=complex)
+    for j in range(n):
+        d = A[j, j].real - float(np.sum(np.abs(L[j, :j]) ** 2))
+        if d <= 1e-14 * tr:
+            continue
+        L[j, j] = np.sqrt(d)
+        for i in range(j + 1, n):
+            L[i, j] = (A[i, j] - np.vdot(L[j, :j], L[i, :j])) / L[j, j]
+    return L.conj().T
+
+
+class TestCholeskyIsLoop:
+    # the column-wise product sums each entry in another order than np.vdot
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 16])
+    def test_random_full_rank(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(4):
+            A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            M = A @ A.conj().T
+            U, want = nx.cholesky_herm(M), loop_cholesky(M)
+            assert np.max(np.abs(U - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_clamped_pivot_in_the_middle(self):
+        rng = np.random.default_rng(2)
+        B = rng.normal(size=(7, 5)) + 1j * rng.normal(size=(7, 5))
+        B[:, 2] = (0.5 - 1j) * B[:, 0] + 2.0 * B[:, 1]
+        M = B.conj().T @ B
+        U, want = nx.cholesky_herm(M), loop_cholesky(M)
+        assert np.count_nonzero(U[2]) == 0 == np.count_nonzero(want[2])
+        assert np.all(np.abs(np.diag(U))[[0, 1, 3, 4]] > 0)
+        assert np.max(np.abs(U - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("spec", [
+        "0,1/8,1/4,3/8,1/2,5/8,3/4,7/8:1,1,1,1,1,1,1,1",
+        "43/997,134/997,328/997,504/997,616/997,783/997,837/997,858/997"
+        ":1.12577,0.354755,0.389151,1.04199,1.20987,0.893792,1.54,3.8548",
+    ], ids=["equi8", "random8"])
+    def test_factor_P(self, spec):
+        from cdsp import build_dirichlet, extract_C, factorize, parse_measure
+        m = parse_measure(spec)
+        hf = extract_C(build_dirichlet(m, factorize(m)))
+        want = loop_cholesky(np.conj(hf.C))
+        assert np.max(np.abs(hf.P - want)) <= 1e-10 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("k", range(5, 9))
+    def test_factor_P_seeded_random(self, k):
+        from cdsp import build_dirichlet, extract_C, factorize, parse_measure
+        from cdsp.errors import CdspError
+        rng = np.random.default_rng(k)
+        checked = 0
+        for _ in range(40):
+            n = np.sort(rng.choice(997, size=k, replace=False))
+            gaps = np.diff(np.r_[n, n[0] + 997]) / 997
+            if 2.0 * np.sin(np.pi * gaps.min()) < 0.1:
+                continue
+            w = rng.uniform(0.25, 4.0, k)
+            m = parse_measure(",".join(f"{x}/997" for x in n) + ":"
+                              + ",".join(repr(float(x)) for x in w))
+            try:
+                hf = extract_C(build_dirichlet(m, factorize(m)))
+            except CdspError:
+                continue
+            want = loop_cholesky(np.conj(hf.C))
+            assert np.max(np.abs(hf.P - want)) <= 1e-10 * np.max(np.abs(want))
+            checked += 1
+            if checked == 3:
+                break
+        assert checked == 3
+
+
 class TestSolveLinear:
     def test_identity_system(self):
         rhs = np.arange(6, dtype=complex).reshape(3, 2)

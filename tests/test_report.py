@@ -72,6 +72,60 @@ class TestWriter:
             report_to_json({1: 2.0})
 
 
+# the writer spells {"re": finite float, "im": finite float} from one
+# template; every other dict of two keys must take the general path
+class Half(float):
+    pass
+
+
+complex_parts = (floats | floats.map(np.float64) | floats.map(Half)
+                 | st.integers() | st.booleans() | st.none())
+two_key_dicts = (st.fixed_dictionaries({"re": complex_parts, "im": complex_parts})
+                 | st.fixed_dictionaries({"im": complex_parts, "re": complex_parts})
+                 | st.dictionaries(st.sampled_from(["re", "im", "r", "t", "value", "Re"]),
+                                   complex_parts, min_size=2, max_size=2))
+nested_complex = st.recursive(
+    two_key_dicts,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.sampled_from(["re", "im", "value", "z"]),
+                                     inner, max_size=3)),
+    max_leaves=20)
+
+
+class TestComplexTemplate:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(nested_complex)
+    def test_equals_json_dumps(self, value):
+        assert report_to_json(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [
+        {"re": 1.5, "im": -0.25},
+        {"im": -0.25, "re": 1.5},
+        {"re": 1, "im": 2}, {"re": True, "im": False}, {"re": None, "im": 0.5},
+        {"re": np.float64(0.1), "im": 0.2}, {"re": 0.1, "im": np.float64(0.2)},
+        {"re": Half(0.5), "im": 1.0},
+        {"re": float("nan"), "im": 0.0}, {"re": 0.0, "im": float("nan")},
+        {"re": float("inf"), "im": 1.0}, {"re": 1.0, "im": float("-inf")},
+        {"re": -0.0, "im": -0.0},
+        {"re": 1.0, "x": 2.0}, {"r": 1.0, "im": 2.0}, {"a": 1.0, "b": 2.0},
+        {"re": 1.0, "im": 2.0, "abs": 3.0}, {"re": 1.0},
+        {"re": [1.0], "im": {"re": 1.0, "im": 2.0}},
+    ], ids=["plain", "im-first", "ints", "bools", "none", "np-float64-re",
+            "np-float64-im", "float-subclass", "nan-re", "nan-im", "inf-re", "-inf-im",
+            "negative-zero", "other-second-key", "other-first-key", "other-keys",
+            "three-keys", "one-key", "containers"])
+    def test_single_dicts(self, value):
+        for wrapped in (value, [value], {"value": value}):
+            assert report_to_json(wrapped) == json.dumps(wrapped, indent=2)
+
+    def test_nested_at_several_depths(self):
+        z = {"re": 0.1, "im": -2e-300}
+        value = {"a": z, "rows": [[z, z], [z, {"im": 1.0, "re": 2.0}]],
+                 "deep": [{"x": [[{"value": z}]]}], "bad": [{"re": float("nan"), "im": 1.0}]}
+        assert report_to_json(value) == json.dumps(value, indent=2)
+
+
 def _equi(k):
     return ",".join(f"{i}/{k}" for i in range(k)) + ":" + ",".join(["1"] * k)
 

@@ -140,6 +140,69 @@ class TestOffdiag:
         assert ev.S_scale == pytest.approx(np.sqrt(d0 * d1), rel=1e-12)
 
 
+# --- pair evidence as first written: a double loop over (r, t), one
+# scalar product and one scale per pair -------------------------------
+
+def loop_pair_evidence(fr, S):
+    diag = S.diagonal().real
+    out = []
+    k = len(fr.alphas)
+    for r in range(k):
+        for t in range(k):
+            if r == t:
+                continue
+            prod = complex(fr.alphas[r] * np.conj(fr.alphas[t]))
+            on_ray = abs(prod.imag) <= 1e-10 and prod.real >= 1.0 - 1e-10
+            scale = float(np.sqrt(max(diag[r], 1e-300) * max(diag[t], 1e-300)))
+            out.append((r, t, prod, not on_ray, complex(S[r, t]), scale))
+    return out
+
+
+def assert_evidence_is_loop(pipe):
+    """pair_premises, offdiag_sums and decide's max_offdiag_norm equal the
+    double loop bit for bit, with the loop's Python types."""
+    S = root_values(pipe.fr, s_of(pipe))
+    want = loop_pair_evidence(pipe.fr, S)
+    got = offdiag_sums(pipe.fr, S)
+    assert [tuple(ev) for ev in got] == want
+    assert [tuple(ev) for ev in pair_premises(pipe.fr)] == [w[:4] + (0.0, 1.0) for w in want]
+    for ev in got:
+        assert [type(x) for x in ev] == [int, int, complex, bool, complex, float]
+    norms = [abs(s_rt) / scale for *_, s_rt, scale in want]
+    assert decide(pipe.fr, s_of(pipe)).max_offdiag_norm == (max(norms) if norms else 0.0)
+
+
+class TestPairEvidenceIsLoop:
+    @pytest.mark.parametrize("name", ["three_point", "single", "antipodal", "quarter"])
+    def test_reference_measures(self, pipes, name):
+        assert_evidence_is_loop(pipes[name])
+
+    def test_broken_premises(self):
+        # every product on the ray [1, inf): premises fail, S is synthetic
+        fr = FejerRiesz(np.array([2.0 + 0j, 3.0 + 0j, 1.5 + 1e-12j]), 1.0)
+        S = np.array([[1.0, 0.2j, 0.1], [-0.2j, 2.0, 3e-5], [0.1, 3e-5, 0.5]], dtype=complex)
+        want = loop_pair_evidence(fr, S)
+        assert not any(w[3] for w in want)
+        assert [tuple(ev) for ev in offdiag_sums(fr, S)] == want
+
+    @pytest.mark.parametrize("k", range(3, 17))
+    def test_equi_spaced(self, k):
+        assert_evidence_is_loop(Pipe(equi_spaced(k)))
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_random_measures(self, k):
+        @settings(max_examples=4, deadline=None, derandomize=True)
+        @given(random_measures(k_max=k, k_min=k))
+        def check(spec):
+            try:
+                pipe = Pipe(spec)
+            except CdspError:
+                assume(False)
+            assert_evidence_is_loop(pipe)
+
+        check()
+
+
 class TestMomentTruncation:
     def test_hermitian(self, three_point):
         M = moment_truncation(three_point.fr, s_of(three_point), 2, 12)
