@@ -61,23 +61,14 @@ def _emit(text: str, out_path) -> bool:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        policy = _policy_from_args(args)
-        rep = analyze(_load_measure_arg(args.measure), policy,
-                      with_oracle=args.oracle,
-                      exhaustive_psd=args.exhaustive_psd)
-    except CdspError as exc:
-        print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return 2
+    policy = _policy_from_args(args)
+    rep = analyze(_load_measure_arg(args.measure), policy,
+                  with_oracle=args.oracle, exhaustive_psd=args.exhaustive_psd)
     return 0 if _emit(report_to_json(rep), args.out) else 2
 
 
 def cmd_paper_check(args) -> int:
-    try:
-        rep = reference_checks(rotation_turns=args.rotate, weights=args.weights)
-    except CdspError as exc:
-        print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return 2
+    rep = reference_checks(rotation_turns=args.rotate, weights=args.weights)
     if not _emit(report_to_json(rep), args.out):
         return 2
     for it in rep["items"]:
@@ -186,13 +177,8 @@ def cmd_kernel(args) -> int:
     if not (abs(z) < 1 and abs(lam) < 1):
         print("kernel evaluation requires |z| < 1 and |lam| < 1", file=sys.stderr)
         return 2
-    try:
-        policy = _policy_from_args(args)
-        m = parse_measure(_load_measure_arg(args.measure))
-        res = PipelineResult(m, policy)
-    except CdspError as exc:
-        print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return 2
+    policy = _policy_from_args(args)
+    res = PipelineResult(parse_measure(_load_measure_arg(args.measure)), policy)
     kt = dirichlet.kernel_omu(res.dd, z, lam)
     kp = dirichlet.kernel_perp(res.dd, z, lam)
     kb = debranges.kernel_KB(res.sd, z, lam)
@@ -265,8 +251,14 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; a pipeline error prints one line
+    ``error [<type>]: <message>`` and exits 2."""
     args = make_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CdspError as exc:
+        print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -27,8 +27,7 @@ class OuterData:
     """O = p/q with p = c prod (z - zeta_l) and q = prod (z - alpha_r)."""
     zetas: np.ndarray  # the atoms, zeros of O
     alphas: np.ndarray  # the exterior factorization roots, poles of O
-    c: complex         # e^{i theta} / sqrt(d)
-    theta: float
+    c: float           # 1 / sqrt(d)
 
     def parts(self, z):
         """(q(z), p(z), p_j(z)) for z of any shape; p_j = c prod_{l != j}
@@ -58,19 +57,9 @@ class DirichletData:
 
 
 def build_outer(m: Measure, fr: FejerRiesz) -> OuterData:
-    """Normalize the phase so the outer function is positive at the origin."""
-    zetas = np.array(m.points, dtype=complex)
-    ratio = np.prod(-zetas) / np.prod(-fr.alphas)
-    theta = float(-np.angle(ratio))
-    phase = np.exp(1j * theta)
-    # snap to an exact real phase when the ratio is essentially real
-    if abs(ratio.imag) <= 1e-12 * abs(ratio):
-        phase = 1.0 if ratio.real > 0 else -1.0
-        theta = 0.0 if ratio.real > 0 else float(np.pi)
-    c = phase / np.sqrt(fr.d)
-    val0 = c * ratio
-    assert abs(val0.imag) <= 1e-10 * abs(val0) and val0.real > 0
-    return OuterData(zetas, fr.alphas, c, theta)
+    """O(0) = c prod zeta_j / prod alpha_j = c d (``fejer.factorize``), so
+    c = 1/sqrt(d) makes the outer function positive at the origin."""
+    return OuterData(np.array(m.points, dtype=complex), fr.alphas, 1.0 / np.sqrt(fr.d))
 
 
 def build_dirichlet(m: Measure, fr: FejerRiesz) -> DirichletData:

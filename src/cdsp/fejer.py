@@ -6,7 +6,7 @@ For atoms zeta_j with weights c_j the Laurent polynomial
 
 is real and strictly positive on |z| = 1, so it factors as
 d * prod_j |z - alpha_j|^2 with every alpha_j strictly outside the closed
-unit disc and d > 0.
+unit disc and d = 1 / prod_j |alpha_j| > 0.
 
 On the circle T / prod_j |z - zeta_j|^2 = 1 - z sum_j c_j zeta_j / (z - zeta_j)^2
 = 1 - e^T (zI - A)^{-1} b, with A the direct sum of the 2x2 Jordan blocks at
@@ -70,10 +70,6 @@ def trig_values(m: Measure, z) -> np.ndarray:
     return np.prod(sq, axis=-1) + np.prod(omit, axis=-1) @ np.asarray(m.weights)
 
 
-def _prod_abs_sq(zs: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    return np.prod(np.abs(zs[:, None] - alphas[None, :]) ** 2, axis=1)
-
-
 def factorize(m: Measure) -> FejerRiesz:
     """Split the 2k roots of z^k T(z) into reflection pairs and return the
     exterior half together with the positive constant d."""
@@ -106,13 +102,10 @@ def factorize(m: Measure) -> FejerRiesz:
     # and solver noise cannot reorder roots of equal angle
     turns = np.mod(np.round(np.angle(outside) / (2 * np.pi) * 1e9), 1e9)
     alphas = outside[sorted(range(k), key=lambda i: (turns[i], abs(outside[i])))]
-    # the quotient, positive by construction, must be constant on an equi-spaced sample
-    n = 4 * k + 16
-    zs = np.exp(2j * np.pi * np.arange(n) / n + 0.123j)
-    ds = trig_values(m, zs) / _prod_abs_sq(zs, alphas)
-    d = float(np.mean(ds))
-    if np.max(np.abs(ds - d)) > 1e-8 * abs(d):
-        raise PairingFailure("factorization constant is not constant across samples")
+    # the z^{2k} coefficients of z^k T = d prod (z - alpha_j)(1 - conj(alpha_j) z)
+    # and of prod (z - zeta_j)(1 - conj(zeta_j) z) give d prod conj(alpha_j)
+    # = prod conj(zeta_j); verify_identity checks the whole identity
+    d = float(1.0 / np.prod(np.abs(alphas)))
     return FejerRiesz(alphas, d)
 
 
@@ -122,4 +115,5 @@ def verify_identity(m: Measure, fr: FejerRiesz) -> float:
     n = 8 * m.k + 32
     zs = np.exp(2j * np.pi * np.arange(n) / n)
     lhs = trig_values(m, zs)
-    return float(np.max(np.abs(lhs - fr.d * _prod_abs_sq(zs, fr.alphas)) / lhs))
+    rhs = fr.d * np.prod(np.abs(zs[:, None] - fr.alphas[None, :]) ** 2, axis=1)
+    return float(np.max(np.abs(lhs - rhs) / lhs))

@@ -12,6 +12,8 @@ import numpy as np
 from .errors import NonConvergence, NotARoot, NotPSD, Singular
 
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
+# cholesky_herm's bound on ||U^H U - M|| relative to ||M||
+RECON_TOL = 1e-9
 
 
 def as_poly(coeffs) -> np.ndarray:
@@ -133,7 +135,7 @@ def herm_check(M: np.ndarray, tol: float = 1e-12) -> None:
         raise ValueError("matrix is not Hermitian within tolerance")
 
 
-def cholesky_herm(M, tol: float = 1e-10) -> np.ndarray:
+def cholesky_herm(M) -> np.ndarray:
     """Upper-triangular U with M = U^H U for a Hermitian PSD matrix.
 
     Small negative pivots (>= -1e-8 * trace) are clamped to zero and the
@@ -156,7 +158,7 @@ def cholesky_herm(M, tol: float = 1e-10) -> np.ndarray:
         L[j + 1:, j] = (A[j + 1:, j] - L[j + 1:, :j] @ np.conj(L[j, :j])) / L[j, j]
     U = L.conj().T
     recon = U.conj().T @ U
-    if np.linalg.norm(recon - A) > max(tol, 1e-10) * max(np.linalg.norm(A), 1e-300) * 10:
+    if np.linalg.norm(recon - A) > RECON_TOL * max(np.linalg.norm(A), 1e-300):
         raise NotPSD("reconstruction error too large after pivot clamping")
     return U
 

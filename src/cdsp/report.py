@@ -90,7 +90,7 @@ def analyze(measure_spec: str, policy: Optional[NumericPolicy] = None,
     return build_report(res)
 
 
-def build_report(res: PipelineResult, include_timings: bool = True) -> dict:
+def build_report(res: PipelineResult) -> dict:
     v = res.verdict
     rep = {
         "schema": SCHEMA_VERSION,
@@ -129,8 +129,7 @@ def build_report(res: PipelineResult, include_timings: bool = True) -> dict:
     }
     if res.oracle_report is not None:
         rep["oracle"] = res.oracle_report
-    if include_timings:
-        rep["timings"] = {"total_s": res.elapsed}
+    rep["timings"] = {"total_s": res.elapsed}
     return rep
 
 

@@ -42,6 +42,10 @@ class PsdProbe:
     min_eig: float
     trace: float
 
+    def violates(self, psd_tol: float) -> bool:
+        """The truncation has an eigenvalue below -psd_tol * |trace|."""
+        return self.min_eig < -psd_tol * max(abs(self.trace), 1e-300)
+
 
 @dataclass(frozen=True)
 class Verdict:
@@ -104,17 +108,13 @@ def offdiag_norms(evidence: List[PairEvidence]) -> List[float]:
     return [abs(ev.S_rt) / ev.S_scale for ev in evidence]
 
 
-def _log_products(alphas: np.ndarray) -> np.ndarray:
-    """a_r = prod_{t != r} (alpha_r - alpha_t), via summed complex logs to
-    keep large k stable."""
-    k = len(alphas)
-    if k == 1:
-        return np.ones(1, dtype=complex)
+def _diff_products(alphas: np.ndarray) -> np.ndarray:
+    """a_r = prod_{t != r} (alpha_r - alpha_t)."""
+    eye = np.eye(len(alphas), dtype=bool)
     diff = alphas[:, None] - alphas[None, :]
-    if np.min(np.abs(diff) + np.eye(k)) <= 1e-9:
+    if np.min(np.abs(diff) + eye) <= 1e-9:
         raise DegenerateAlphas("exterior roots not pairwise distinct")
-    logs = np.log(np.where(np.eye(k, dtype=bool), 1.0, diff))
-    return np.exp(np.sum(np.where(np.eye(k, dtype=bool), 0.0, logs), axis=1))
+    return np.prod(np.where(eye, 1.0, diff), axis=1)
 
 
 def _moment_factors(fr: FejerRiesz, S: np.ndarray, N: int):
@@ -122,7 +122,7 @@ def _moment_factors(fr: FejerRiesz, S: np.ndarray, N: int):
     do not depend on l: kappa = S / (a a^H), gamma_rt = 1 - 1/(alpha_r
     conj(alpha_t)), V[m, r] = alpha_r^{-(m+2)} for m < N, and V^H."""
     alphas = fr.alphas
-    a = _log_products(alphas)
+    a = _diff_products(alphas)
     kappa = S / np.outer(a, np.conj(a))
     gamma = 1.0 - 1.0 / (alphas[:, None] * np.conj(alphas[None, :]))
     ms = np.arange(N)
@@ -143,7 +143,7 @@ def moment_truncation(fr: FejerRiesz, s_eval: Callable, l: int, N: int) -> np.nd
 
 
 def psd_search(fr: FejerRiesz, S: np.ndarray, l_max: int, N: int,
-               psd_tol: float = 1e-10, exhaustive: bool = False) -> List[PsdProbe]:
+               psd_tol: float, exhaustive: bool = False) -> List[PsdProbe]:
     """Probe the N x N truncations of the order-l moment matrices built from
     the root values S (``root_values``) for l = 1..l_max, the same matrices
     ``moment_truncation`` returns; short-circuits on the first violation
@@ -156,7 +156,7 @@ def psd_search(fr: FejerRiesz, S: np.ndarray, l_max: int, N: int,
         tr = float(np.trace(M).real)
         probe = PsdProbe(l, N, float(eigs[0]), tr)
         probes.append(probe)
-        if probe.min_eig < -psd_tol * max(abs(tr), 1e-300) and not exhaustive:
+        if probe.violates(psd_tol) and not exhaustive:
             break
     return probes
 
@@ -172,12 +172,10 @@ def decide(fr: FejerRiesz, s_eval: Callable,
     premises_ok = all(ev.premise_ok for ev in evidence)
     max_norm = max(offdiag_norms(evidence), default=0.0)
     probes = []
-    violation = False
     if run_psd:
         probes = psd_search(fr, S, policy.l_max, policy.N_trunc,
                             psd_tol=policy.psd_tol, exhaustive=exhaustive_psd)
-        violation = any(p.min_eig < -policy.psd_tol * max(abs(p.trace), 1e-300)
-                        for p in probes)
+    violation = any(p.violates(policy.psd_tol) for p in probes)
     if (premises_ok and max_norm > policy.zero_reject) or violation:
         decision = NOT_SUBNORMAL
     elif premises_ok and max_norm <= policy.zero_accept:

@@ -149,7 +149,8 @@ def test_criterion_5_known_subnormal_controls():
             assert v.decision == SUBNORMAL_NUMERIC
             norms = [abs(ev.S_rt) / ev.S_scale for ev in v.pair_evidence]
             assert all(n <= 1e-7 for n in norms)
-            probes = psd_search(fr, root_values(fr, s), 16, 64, exhaustive=True)
+            probes = psd_search(fr, root_values(fr, s), 16, 64, psd_tol=1e-10,
+                                exhaustive=True)
             assert all(p.min_eig >= -1e-8 * max(abs(p.trace), 1e-300)
                        for p in probes)
         _, fr, dd = pipeline("0,1/4:1,1")

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdsp import (build_dirichlet, build_outer, eval_f, eval_S,
                   factorize, kernel_full, kernel_omu, kernel_perp, parse_measure)
 from cdsp import numerics as nx
 from cdsp.errors import PoleHit
 from cdsp.oracle import monomial_gram
-from conftest import ALPHA_CONST, B_CONST, W_CONST, X_CONST
+from conftest import ALPHA_CONST, B_CONST, W_CONST, X_CONST, equi_spaced, random_measures
 
 
 def ascending(roots) -> np.ndarray:
@@ -99,7 +100,6 @@ class TestOuter:
         for z in (0.2, 0.3 - 0.4j, 0.1j):
             expect = (z ** 3 - 1) / (sqrt_d * (z ** 3 - B_CONST))
             assert od.eval(z) == pytest.approx(expect, rel=1e-10)
-        assert od.theta == pytest.approx(0.0, abs=1e-12)
 
     def test_single_atom_positive_at_origin(self):
         m = parse_measure("0:1")
@@ -108,6 +108,20 @@ class TestOuter:
         v0 = od.eval(0.0)
         assert v0.imag == pytest.approx(0.0, abs=1e-12)
         assert v0.real > 0
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.one_of(
+        st.builds("{}/997:{!r}".format, st.integers(0, 996), st.floats(0.25, 4.0)),
+        random_measures(k_max=8),
+        st.integers(1, 64).map(equi_spaced)))
+    def test_constant_from_exterior_roots(self, spec):
+        # d prod |alpha_j| = 1 and O(0) = prod zeta_j / (sqrt(d) prod alpha_j) = sqrt(d)
+        m = parse_measure(spec)
+        fr = factorize(m)
+        assert fr.d * np.prod(np.abs(fr.alphas)) == pytest.approx(1.0, rel=1e-13)
+        v0 = build_outer(m, fr).eval(0.0)
+        assert abs(v0.imag) <= 1e-13 * abs(v0)
+        assert v0.real == pytest.approx(np.sqrt(fr.d), rel=1e-13)
 
     @pytest.mark.parametrize("spec", ["0:1", "0,1/2:1,1", "0,1/3,2/3:1,1,1",
                                       "0,1/4:1,2"])

@@ -12,7 +12,7 @@ from cdsp.policy import NumericPolicy
 from cdsp.verdict import (INCONCLUSIVE, NOT_SUBNORMAL, SUBNORMAL_NUMERIC,
                           PairEvidence, PsdProbe, decide, moment_truncation, offdiag_sums,
                           pair_premises, psd_search, root_values)
-from cdsp.verdict import _log_products
+from cdsp.verdict import _diff_products
 from conftest import Pipe, equi_spaced, random_measures
 
 
@@ -35,7 +35,7 @@ def reference_pipes(pipes):
 def per_order_truncation(fr, s_eval, l, N):
     alphas = fr.alphas
     k = len(alphas)
-    a = _log_products(alphas)
+    a = _diff_products(alphas)
     S = np.array([[s_eval(alphas[r], alphas[t]) for t in range(k)] for r in range(k)],
                  dtype=complex)
     kappa = S / np.outer(a, np.conj(a))
@@ -217,7 +217,8 @@ class TestMomentTruncation:
 
     def test_three_point_violation_appears(self, three_point):
         probes = psd_search(three_point.fr,
-                            root_values(three_point.fr, s_of(three_point)), 16, 64)
+                            root_values(three_point.fr, s_of(three_point)), 16, 64,
+                            psd_tol=1e-10)
         tol = 1e-8
         assert any(p.min_eig < -tol * abs(p.trace) for p in probes)
 
@@ -229,7 +230,7 @@ class TestMomentTruncation:
     def test_exhaustive_collects_all_orders(self, three_point):
         probes = psd_search(three_point.fr,
                             root_values(three_point.fr, s_of(three_point)), 6, 32,
-                            exhaustive=True)
+                            psd_tol=1e-10, exhaustive=True)
         assert [p.l for p in probes] == [1, 2, 3, 4, 5, 6]
 
 
