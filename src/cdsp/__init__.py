@@ -10,7 +10,7 @@ from .debranges import (HermForm, SchurData, eval_S, extract_C, factor_P,
                         kernel_KB, make_schur)
 from .verdict import (PairEvidence, PsdProbe, Verdict, decide,
                       moment_truncation, offdiag_sums, pair_premises,
-                      psd_search, root_values)
+                      psd_search)
 from .report import PipelineResult, analyze, reference_checks
 
 __all__ = [
@@ -22,7 +22,7 @@ __all__ = [
     "HermForm", "SchurData", "eval_S", "extract_C", "factor_P",
     "kernel_KB", "make_schur",
     "PairEvidence", "PsdProbe", "Verdict", "decide", "moment_truncation",
-    "offdiag_sums", "pair_premises", "psd_search", "root_values",
+    "offdiag_sums", "pair_premises", "psd_search",
     "PipelineResult", "analyze", "reference_checks",
 ]
 

@@ -46,19 +46,17 @@ class SchurData:
         return (self.P @ zp) / self.outer.parts(z)[0]
 
 
-def eval_S(dd: DirichletData, z, u):
-    """Evaluate S at arbitrary complex points (scalars or broadcastable
-    arrays); polynomial in z and conj(u) after cancellation."""
+def eval_S(dd: DirichletData, z, u) -> np.ndarray:
+    """S on the grid of two 1-D point arrays: the len(z) x len(u) matrix
+    outer(q(z), conj q(u)) - outer(p(z), conj p(u))
+    - (1 - outer(z, conj u)) o (D(z)^T W conj D(u)), D the deflated
+    numerators; polynomial in z and conj(u) after cancellation."""
     z = np.asarray(z, dtype=complex)
     u = np.asarray(u, dtype=complex)
-    scalar = z.ndim == 0 and u.ndim == 0
     qz, pz, dz = dd.outer.parts(z)
     qu, pu, du = dd.outer.parts(u)
-    cross = np.einsum("ji,j...,i...->...", dd.W, dz, np.conj(du))
-    out = qz * np.conj(qu) - pz * np.conj(pu) - (1.0 - z * np.conj(u)) * cross
-    if scalar:
-        return complex(np.asarray(out).reshape(-1)[0])
-    return out
+    return (np.outer(qz, np.conj(qu)) - np.outer(pz, np.conj(pu))
+            - (1.0 - np.outer(z, np.conj(u))) * (dz.T @ dd.W @ np.conj(du)))
 
 
 def extract_C(dd: DirichletData) -> HermForm:
@@ -69,7 +67,7 @@ def extract_C(dd: DirichletData) -> HermForm:
     k = dd.measure.k
     nodes = np.exp(2j * np.pi * np.arange(k) / k + 0.37j)
     V = nodes[:, None] ** np.arange(1, k + 1)
-    S_grid = eval_S(dd, nodes[:, None], nodes[None, :])
+    S_grid = eval_S(dd, nodes, nodes)
     C = V.conj().T @ S_grid @ V / k ** 2
     C = 0.5 * (C + C.conj().T)
     # refit residual: V / sqrt(k) is unitary, so this is the anti-Hermitian

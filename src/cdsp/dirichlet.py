@@ -18,7 +18,7 @@ import numpy as np
 
 from . import numerics as nx
 from .errors import DegenerateAtom, PoleHit
-from .fejer import FejerRiesz
+from .fejer import FejerRiesz, omit_one
 from .measure import Measure
 
 
@@ -34,10 +34,9 @@ class OuterData:
         (z - zeta_l) = p/(z - zeta_j) carries a leading axis of length k."""
         z = np.asarray(z, dtype=complex)
         lin = z[..., None] - self.zetas
-        omit = np.where(np.eye(len(self.zetas), dtype=bool), 1.0, lin[..., None, :])
         q = np.prod(z[..., None] - self.alphas, axis=-1)
         p = self.c * np.prod(lin, axis=-1)
-        pj = self.c * np.moveaxis(np.prod(omit, axis=-1), -1, 0)
+        pj = self.c * np.moveaxis(omit_one(lin), -1, 0)
         return q, p, pj
 
     def eval(self, z):

@@ -61,13 +61,22 @@ def build_trig(m: Measure) -> TrigPoly:
     return TrigPoly(m.k, total)
 
 
+def omit_one(x: np.ndarray) -> np.ndarray:
+    """prod_{l != j} x[..., l] for every j, as the prefix product before j
+    times the suffix product after it: O(k) work per row and no division,
+    so a row with an exact zero at l gives exact zeros at every j != l."""
+    out = np.ones_like(x)
+    out[..., 1:] = np.cumprod(x[..., :-1], axis=-1)
+    out[..., :-1] *= np.cumprod(x[..., :0:-1], axis=-1)[..., ::-1]
+    return out
+
+
 def trig_values(m: Measure, z) -> np.ndarray:
     """T at points z on the circle, summed in product form; every term is
-    nonnegative and the masked products keep T finite at the atoms."""
+    nonnegative and the omit-one products keep T finite at the atoms."""
     z = np.asarray(z, dtype=complex)
     sq = np.abs(z[..., None] - np.asarray(m.points)) ** 2
-    omit = np.where(np.eye(m.k, dtype=bool), 1.0, sq[..., None, :])
-    return np.prod(sq, axis=-1) + np.prod(omit, axis=-1) @ np.asarray(m.weights)
+    return np.prod(sq, axis=-1) + omit_one(sq) @ np.asarray(m.weights)
 
 
 def factorize(m: Measure) -> FejerRiesz:

@@ -94,17 +94,6 @@ class Measure:
     def weights(self):
         return [wt for _, wt in self.atoms]
 
-    def to_json(self) -> str:
-        out = {"atoms": []}
-        for pt, wt in self.atoms:
-            if pt.exact_turns is not None:
-                entry = {"turns": str(pt.exact_turns), "weight": wt}
-            else:
-                entry = {"point": {"re": pt.value.real, "im": pt.value.imag},
-                         "weight": wt}
-            out["atoms"].append(entry)
-        return json.dumps(out)
-
 
 def _parse_turn(tok: str) -> Fraction:
     try:

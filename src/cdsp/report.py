@@ -54,9 +54,8 @@ class PipelineResult:
         self.dd = dirichlet.build_dirichlet(m, self.fr)
         self.hf = debranges.extract_C(self.dd)
         self.sd = debranges.make_schur(self.dd, self.hf)
-        self.s_eval = lambda z, u: debranges.eval_S(self.dd, z, u)
-        self.verdict = vd.decide(self.fr, self.s_eval, policy,
-                                 exhaustive_psd=exhaustive_psd)
+        S = debranges.eval_S(self.dd, self.fr.alphas, self.fr.alphas)
+        self.verdict = vd.decide(self.fr, S, policy, exhaustive_psd=exhaustive_psd)
         self.oracle_report = None
         if with_oracle:
             self.oracle_report = run_oracle(m, policy)

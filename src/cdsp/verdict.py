@@ -13,7 +13,7 @@ Two routes feed the verdict:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, NamedTuple, Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
@@ -54,7 +54,7 @@ class Verdict:
     psd_probes: List[PsdProbe]
     policy: NumericPolicy
     max_offdiag_norm: float
-    # S(alpha_r, alpha_t) at all root pairs, one broadcast s_eval call (root_values)
+    # S[r, t] = S(alpha_r, alpha_t) at all root pairs, as decide received it
     S: np.ndarray = field(compare=False, repr=False)
 
 
@@ -83,19 +83,8 @@ def pair_premises(fr: FejerRiesz) -> List[PairEvidence]:
     return list(map(PairEvidence, *columns))
 
 
-def root_values(fr: FejerRiesz, s_eval: Callable) -> np.ndarray:
-    """k x k matrix S[r, t] = S(alpha_r, alpha_t) at the exterior roots, from
-    one call of ``s_eval`` on the grid alpha[:, None], alpha[None, :]; like
-    ``debranges.eval_S``, ``s_eval(z, u)`` must broadcast over arrays of z
-    and u."""
-    alphas = fr.alphas
-    S = np.empty((len(alphas), len(alphas)), dtype=complex)
-    S[...] = s_eval(alphas[:, None], alphas[None, :])
-    return S
-
-
 def offdiag_sums(fr: FejerRiesz, S: np.ndarray) -> List[PairEvidence]:
-    """Attach the root values S[r, t] of ``root_values`` to the premise
+    """Attach the root values S[r, t] = S(alpha_r, alpha_t) to the premise
     evidence, scaled by sqrt(S[r, r] S[t, t])."""
     offdiag, *columns = _pair_columns(fr)
     diag = np.maximum(S.diagonal().real, 1e-300)
@@ -136,16 +125,16 @@ def _truncation(factors, l: int) -> np.ndarray:
     return 0.5 * (M + M.conj().T)
 
 
-def moment_truncation(fr: FejerRiesz, s_eval: Callable, l: int, N: int) -> np.ndarray:
-    """N x N Hermitian truncation of the order-l moment matrix; ``s_eval``
-    broadcasts over arrays of z and u (see ``root_values``)."""
-    return _truncation(_moment_factors(fr, root_values(fr, s_eval), N), l)
+def moment_truncation(fr: FejerRiesz, S: np.ndarray, l: int, N: int) -> np.ndarray:
+    """N x N Hermitian truncation of the order-l moment matrix built from
+    the root values S[r, t] = S(alpha_r, alpha_t)."""
+    return _truncation(_moment_factors(fr, S, N), l)
 
 
 def psd_search(fr: FejerRiesz, S: np.ndarray, l_max: int, N: int,
                psd_tol: float, exhaustive: bool = False) -> List[PsdProbe]:
     """Probe the N x N truncations of the order-l moment matrices built from
-    the root values S (``root_values``) for l = 1..l_max, the same matrices
+    the root values S for l = 1..l_max, the same matrices
     ``moment_truncation`` returns; short-circuits on the first violation
     unless exhaustive."""
     factors = _moment_factors(fr, S, N)
@@ -161,13 +150,12 @@ def psd_search(fr: FejerRiesz, S: np.ndarray, l_max: int, N: int,
     return probes
 
 
-def decide(fr: FejerRiesz, s_eval: Callable,
+def decide(fr: FejerRiesz, S: np.ndarray,
            policy: Optional[NumericPolicy] = None,
            run_psd: bool = True, exhaustive_psd: bool = False) -> Verdict:
-    """Zero test and positivity probes on the root values of ``s_eval``,
-    which broadcasts over arrays of z and u (see ``root_values``)."""
+    """Zero test and positivity probes on the k x k root values
+    S[r, t] = S(alpha_r, alpha_t)."""
     policy = policy or NumericPolicy()
-    S = root_values(fr, s_eval)
     evidence = offdiag_sums(fr, S)
     premises_ok = all(ev.premise_ok for ev in evidence)
     max_norm = max(offdiag_norms(evidence), default=0.0)

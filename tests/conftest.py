@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, strategies as st
 
-from cdsp import NumericPolicy, build_dirichlet, extract_C, factorize, parse_measure
+from cdsp import NumericPolicy, build_dirichlet, eval_S, extract_C, factorize, parse_measure
 from cdsp.report import closed_form_constants
 
 
@@ -43,6 +43,11 @@ B_CONST = _REF["b"]
 ALPHA_CONST = _REF["alpha"]
 X_CONST = _REF["x"]
 W_CONST = _REF["w"]
+
+
+def S_at(dd, z, u) -> complex:
+    """S(z, u) at one pair of points: the 1 x 1 grid of eval_S."""
+    return complex(eval_S(dd, [z], [u])[0, 0])
 
 
 def equi_spaced(k):

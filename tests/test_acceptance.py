@@ -22,7 +22,7 @@ from cdsp.measure import Measure
 from cdsp.oracle import bn_form, dual_norm, monomial_gram, norm_sq
 from cdsp.report import closed_form_constants
 from cdsp.verdict import (NOT_SUBNORMAL, SUBNORMAL_NUMERIC, decide,
-                          moment_truncation, psd_search, root_values)
+                          moment_truncation, psd_search)
 
 _REF = closed_form_constants()
 B, X, W = _REF["b"], _REF["x"], _REF["w"]
@@ -120,7 +120,7 @@ def test_criterion_4_main_counterexample():
     with Criterion(4, 1.0):
         _, fr, dd = pipeline(THREE)
         policy = NumericPolicy()
-        v = decide(fr, lambda z, u: eval_S(dd, z, u), policy)
+        v = decide(fr, eval_S(dd, fr.alphas, fr.alphas), policy)
         assert v.decision == NOT_SUBNORMAL
         # the zero-test route, not just a PSD violation
         assert all(ev.premise_ok for ev in v.pair_evidence)
@@ -136,7 +136,7 @@ def test_criterion_4_main_counterexample():
         expect = abs(complex(cs[0] * t ** 3 + cs[1] * t ** 2 + cs[2] * t))
         alpha_f = fr.alphas[int(np.argmin(np.abs(np.angle(fr.alphas))))]
         aw = alpha_f * W
-        got = abs(eval_S(dd, alpha_f, aw))
+        got = abs(eval_S(dd, [alpha_f], [aw])[0, 0])
         assert abs(got - expect) <= 1e-8 * expect
 
 
@@ -144,17 +144,17 @@ def test_criterion_5_known_subnormal_controls():
     with Criterion(5, 5.0):
         for spec in ("0:1", "0,1/2:1,1"):
             _, fr, dd = pipeline(spec)
-            s = lambda z, u, dd=dd: eval_S(dd, z, u)
-            v = decide(fr, s, NumericPolicy())
+            S = eval_S(dd, fr.alphas, fr.alphas)
+            v = decide(fr, S, NumericPolicy())
             assert v.decision == SUBNORMAL_NUMERIC
             norms = [abs(ev.S_rt) / ev.S_scale for ev in v.pair_evidence]
             assert all(n <= 1e-7 for n in norms)
-            probes = psd_search(fr, root_values(fr, s), 16, 64, psd_tol=1e-10,
+            probes = psd_search(fr, S, 16, 64, psd_tol=1e-10,
                                 exhaustive=True)
             assert all(p.min_eig >= -1e-8 * max(abs(p.trace), 1e-300)
                        for p in probes)
         _, fr, dd = pipeline("0,1/4:1,1")
-        v = decide(fr, lambda z, u: eval_S(dd, z, u), NumericPolicy())
+        v = decide(fr, eval_S(dd, fr.alphas, fr.alphas), NumericPolicy())
         assert v.decision == NOT_SUBNORMAL
 
 
@@ -197,20 +197,20 @@ def test_criterion_8_symmetry_suite():
     with Criterion(8, 5.0):
         base_spec = "0,1/3,2/3:1,2,0.5"
         _, fr0, dd0 = pipeline(base_spec)
-        v0 = decide(fr0, lambda z, u: eval_S(dd0, z, u), NumericPolicy())
+        v0 = decide(fr0, eval_S(dd0, fr0.alphas, fr0.alphas), NumericPolicy())
         rng = np.random.default_rng(99)
         m_base = parse_measure(base_spec)
         for _ in range(10):
             turns = Fraction(int(rng.integers(1, 10_000)), 10_007)
             m = rotate_measure(m_base, turns)
             _, fr, dd = pipeline(m)
-            v = decide(fr, lambda z, u: eval_S(dd, z, u), NumericPolicy())
+            v = decide(fr, eval_S(dd, fr.alphas, fr.alphas), NumericPolicy())
             assert v.decision == v0.decision
             assert abs(v.max_offdiag_norm - v0.max_offdiag_norm) <= 1e-8
         for perm in ((1, 2, 0), (2, 0, 1), (0, 2, 1)):
             m = Measure(tuple(m_base.atoms[i] for i in perm))
             _, fr, dd = pipeline(m)
-            v = decide(fr, lambda z, u: eval_S(dd, z, u), NumericPolicy())
+            v = decide(fr, eval_S(dd, fr.alphas, fr.alphas), NumericPolicy())
             assert v.decision == v0.decision
             assert abs(v.max_offdiag_norm - v0.max_offdiag_norm) <= 1e-8
 
@@ -218,9 +218,9 @@ def test_criterion_8_symmetry_suite():
 def test_criterion_9_psd_probe_soundness():
     with Criterion(9):
         _, fr, dd = pipeline("0:1")
-        s = lambda z, u: eval_S(dd, z, u)
+        S = eval_S(dd, fr.alphas, fr.alphas)
         for l in range(1, 17):
             for N in (8, 16, 32, 64):
-                M = moment_truncation(fr, s, l, N)
+                M = moment_truncation(fr, S, l, N)
                 tr = float(np.trace(M).real)
                 assert np.min(np.linalg.eigvalsh(M)) >= -1e-12 * abs(tr)

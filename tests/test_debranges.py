@@ -1,14 +1,17 @@
+import tracemalloc
+
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 
-from cdsp import NumericPolicy, PipelineResult, build_dirichlet, factorize, parse_measure
+from cdsp import (NumericPolicy, PipelineResult, build_dirichlet, factorize, parse_measure,
+                  verify_identity)
 from cdsp.debranges import eval_S, extract_C, factor_P, kernel_KB, make_schur
 from cdsp.dirichlet import kernel_full
 from cdsp.errors import CdspError, NotPSD
 from cdsp.report import analyze
-from conftest import (ALPHA_CONST, B_CONST, W_CONST, X_CONST, equi_spaced,
+from conftest import (ALPHA_CONST, B_CONST, W_CONST, X_CONST, S_at, equi_spaced,
                       random_measures)
 
 
@@ -41,26 +44,35 @@ def closed_form_S_mp():
     return b, x, (c1, c2, c3)
 
 
-def eval_S_mp(dd, d, z, u):
-    """S(z,u) at mpmath's working precision from the pipeline's atoms,
-    exterior roots, d and inverse Gram B; the phase of O cancels in S."""
+def eval_S_mp(dd, d, zs, us):
+    """S on the grid zs x us at mpmath's working precision, as a list of
+    rows, from the pipeline's atoms, exterior roots, d and inverse Gram B;
+    the phase of O cancels in S."""
     zetas = [mp.mpc(x) for x in dd.outer.zetas]
     alphas = [mp.mpc(x) for x in dd.outer.alphas]
     k, c = len(zetas), 1 / mp.sqrt(mp.mpf(d))
 
-    def parts(x):
-        q = mp.fprod(x - a for a in alphas)
-        pj = [c * mp.fprod(x - zl for l, zl in enumerate(zetas) if l != j)
-              for j in range(k)]
-        return q, c * mp.fprod(x - zl for zl in zetas), pj
+    def omit(x, j):
+        return c * mp.fprod(x - zl for l, zl in enumerate(zetas) if l != j)
 
-    op = [parts(zj)[2][j] / parts(zj)[0] for j, zj in enumerate(zetas)]
-    z, u = mp.mpc(z), mp.mpc(u)
-    qz, pz, dz = parts(z)
-    qu, pu, du = parts(u)
-    cross = mp.fsum(mp.conj(mp.mpc(dd.B[j, i])) / (op[j] * mp.conj(op[i]))
-                    * dz[j] * mp.conj(du[i]) for j in range(k) for i in range(k))
-    return qz * mp.conj(qu) - pz * mp.conj(pu) - (1 - z * mp.conj(u)) * cross
+    def q(x):
+        return mp.fprod(x - a for a in alphas)
+
+    def parts(x):
+        x = mp.mpc(x)
+        return x, q(x), c * mp.fprod(x - zl for zl in zetas), [omit(x, j) for j in range(k)]
+
+    # O'(zeta_j) = p_j(zeta_j) / q(zeta_j)
+    op = [omit(zj, j) / q(zj) for j, zj in enumerate(zetas)]
+    W = [[mp.conj(mp.mpc(dd.B[j, i])) / (op[j] * mp.conj(op[i])) for i in range(k)]
+         for j in range(k)]
+    rows, u_parts = [], [parts(u) for u in us]
+    for z, qz, pz, dz in map(parts, zs):
+        dzW = [mp.fsum(dz[j] * W[j][i] for j in range(k)) for i in range(k)]
+        rows.append([qz * mp.conj(qu) - pz * mp.conj(pu)
+                     - (1 - z * mp.conj(u)) * mp.fsum(a * mp.conj(b) for a, b in zip(dzW, du))
+                     for u, qu, pu, du in u_parts])
+    return rows
 
 
 def dft_C_mp(dd, d):
@@ -69,7 +81,7 @@ def dft_C_mp(dd, d):
     k = dd.measure.k
     nodes = [mp.expj(2 * mp.pi * a / k + mp.mpf("0.37")) for a in range(k)]
     V = mp.matrix([[z ** m for m in range(1, k + 1)] for z in nodes])
-    S = mp.matrix([[eval_S_mp(dd, d, z, u) for u in nodes] for z in nodes])
+    S = mp.matrix(eval_S_mp(dd, d, nodes, nodes))
     C = V.H * S * V / k ** 2
     return np.array([[complex(C[i, j]) for j in range(k)] for i in range(k)])
 
@@ -90,15 +102,15 @@ class TestEvalS:
     def test_vanishes_on_diagonal_u_zero(self, pipes):
         for pipe in pipes.values():
             for z in (0.3, -0.5 + 0.2j, 1.7 - 0.4j):
-                assert abs(eval_S(pipe.dd, z, 0.0)) < 1e-9
+                assert abs(S_at(pipe.dd, z, 0.0)) < 1e-9
 
     def test_hermitian_symmetry(self, pipes):
         rng = np.random.default_rng(8)
         for pipe in pipes.values():
             for _ in range(10):
                 z, u = [complex(*rng.uniform(-2, 2, 2)) for _ in range(2)]
-                assert eval_S(pipe.dd, z, u) == pytest.approx(
-                    np.conj(eval_S(pipe.dd, u, z)), abs=1e-8)
+                assert S_at(pipe.dd, z, u) == pytest.approx(
+                    np.conj(S_at(pipe.dd, u, z)), abs=1e-8)
 
     def test_three_point_closed_form_high_precision(self, three_point):
         # brute-force oracle at 40 digits against the rational evaluation
@@ -109,7 +121,7 @@ class TestEvalS:
                        (mp.mpc("0.3", "0.4"), mp.mpc("-1.2", "0.1"))):
             t = zz * mp.conj(uu)
             expect = c3 * t ** 3 + c2 * t ** 2 + c1 * t
-            got = eval_S(three_point.dd, complex(zz), complex(uu))
+            got = S_at(three_point.dd, complex(zz), complex(uu))
             assert abs(got - complex(expect)) < 1e-8 * max(1.0, abs(complex(expect)))
 
     @settings(max_examples=30, deadline=None, derandomize=True)
@@ -124,24 +136,41 @@ class TestEvalS:
         disc = np.array([0.0, 0.5, -0.3 + 0.6j, 0.7j - 0.2])
         mp.mp.dps = 40
         for pts in (fr.alphas, disc):
-            got = eval_S(dd, pts[:, None], pts[None, :])
-            want = np.array([[complex(eval_S_mp(dd, fr.d, a, b)) for b in pts]
-                             for a in pts])
+            got = eval_S(dd, pts, pts)
+            want = np.array(eval_S_mp(dd, fr.d, pts, pts), dtype=complex)
             assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("k", [16, 32, 64])
+    def test_matches_high_precision_equi_spaced(self, k):
+        # the pipeline's two grids, the exterior roots and the DFT nodes of
+        # extract_C, read at 4 x 4 of their pairs; at the roots the terms of S
+        # cancel, and the matrix form measures 7.5e-12 of max|S| at k = 64
+        m = parse_measure(equi_spaced(k))
+        fr = factorize(m)
+        dd = build_dirichlet(m, fr)
+        nodes = np.exp(2j * np.pi * np.arange(k) / k + 0.37j)
+        idx = [0, 1, k // 3, k - 1]
+        with mp.workdps(40):
+            for pts in (fr.alphas, nodes):
+                got = eval_S(dd, pts, pts)[np.ix_(idx, idx)]
+                want = np.array(eval_S_mp(dd, fr.d, pts[idx], pts[idx]), dtype=complex)
+                assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
     def test_magnitude_at_adjacent_exterior_roots(self, three_point):
         # |S(alpha, alpha w)| ~ 2.158e2
-        val = eval_S(three_point.dd, ALPHA_CONST, ALPHA_CONST * W_CONST)
+        val = S_at(three_point.dd, ALPHA_CONST, ALPHA_CONST * W_CONST)
         assert abs(val) == pytest.approx(215.7975, abs=5e-3)
 
     def test_array_broadcast_matches_scalars(self, three_point):
+        # the len(z) x len(u) grid against its entries one pair at a time
         zs = np.array([0.2 + 0.1j, 1.5, -0.7j])
         us = np.array([0.4, -0.3 + 0.2j])
-        grid = eval_S(three_point.dd, zs[:, None], us[None, :])
+        grid = eval_S(three_point.dd, zs, us)
+        assert grid.shape == (3, 2)
         for i, z in enumerate(zs):
             for j, u in enumerate(us):
                 assert grid[i, j] == pytest.approx(
-                    eval_S(three_point.dd, z, u), rel=1e-12)
+                    S_at(three_point.dd, z, u), rel=1e-12)
 
 
 class TestExtractC:
@@ -163,7 +192,7 @@ class TestExtractC:
                 zp = np.array([z ** m for m in range(1, k + 1)])
                 up = np.array([u ** m for m in range(1, k + 1)])
                 via_C = zp @ pipe.hf.C @ np.conj(up)
-                assert via_C == pytest.approx(eval_S(pipe.dd, z, u), abs=1e-8)
+                assert via_C == pytest.approx(S_at(pipe.dd, z, u), abs=1e-8)
 
     def test_hermitian_coefficient_matrix(self, pipes):
         for pipe in pipes.values():
@@ -204,6 +233,30 @@ class TestExtractC:
             pytest.fail(f"{spec}: {exc}")
 
 
+def traced_peak(f, *args) -> int:
+    """Peak bytes that Python and numpy allocate during f(*args)."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    def test_peaks_at_equi_spaced_128(self):
+        # O(k^2) arrays and O(k) omit-one products per point: about 2 to 3 MB
+        # each at k = 128, where (points, k, k) temporaries took 33 to 134 MB
+        m = parse_measure(equi_spaced(128))
+        fr = factorize(m)
+        dd = build_dirichlet(m, fr)
+        peaks = {"verify_identity": traced_peak(verify_identity, m, fr),
+                 "build_dirichlet": traced_peak(build_dirichlet, m, fr),
+                 "eval_S": traced_peak(eval_S, dd, fr.alphas, fr.alphas),
+                 "extract_C": traced_peak(extract_C, dd)}
+        assert max(peaks.values()) < 16 * 2 ** 20, peaks
+
+
 class TestFactorP:
     def test_upper_triangular_nonnegative_diagonal(self, pipes):
         for pipe in pipes.values():
@@ -224,7 +277,7 @@ class TestFactorP:
             for _ in range(6):
                 z, u = [complex(*rng.uniform(-1.2, 1.2, 2)) for _ in range(2)]
                 assert eval_S_from_P(pipe.hf.P, z, u) == pytest.approx(
-                    eval_S(pipe.dd, z, u), abs=1e-8)
+                    S_at(pipe.dd, z, u), abs=1e-8)
 
 
 class TestSchur:

@@ -123,6 +123,17 @@ class TestOuter:
         assert abs(v0.imag) <= 1e-13 * abs(v0)
         assert v0.real == pytest.approx(np.sqrt(fr.d), rel=1e-13)
 
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.one_of(random_measures(k_max=8), st.integers(1, 64).map(equi_spaced)))
+    def test_deflated_numerators_vanish_exactly_at_other_atoms(self, spec):
+        # p_j(zeta_l) keeps the factor zeta_l - zeta_l = 0 for every l != j
+        m = parse_measure(spec)
+        od = build_outer(m, factorize(m))
+        _, _, pj = od.parts(od.zetas)
+        off = ~np.eye(m.k, dtype=bool)
+        assert np.all(pj[off] == 0)
+        assert np.all(np.diagonal(pj) != 0)
+
     @pytest.mark.parametrize("spec", ["0:1", "0,1/2:1,1", "0,1/3,2/3:1,1,1",
                                       "0,1/4:1,2"])
     def test_vanishes_at_atoms(self, spec):
@@ -276,6 +287,6 @@ class TestCoefficientReference:
         scale = np.max(np.abs(dd.D))
         assert np.max(np.abs(dd.fprime_at_zeta - fprime)) <= 1e-10 * scale
         assert np.max(np.abs(dd.D - D)) <= 1e-10 * scale
-        got = eval_S(dd, fr.alphas[:, None], fr.alphas[None, :])
+        got = eval_S(dd, fr.alphas, fr.alphas)
         want = np.array([[ref_S(a, b) for b in fr.alphas] for a in fr.alphas])
         assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))

@@ -3,11 +3,12 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from cdsp import (NumericPolicy, PipelineResult, build_trig, factorize, parse_measure,
                   rotate_measure, verify_identity)
 from cdsp.errors import IdentityResidual, RootOnCircle
+from cdsp.fejer import omit_one
 from conftest import ALPHA_CONST, B_CONST, equi_spaced, random_measures
 
 
@@ -192,6 +193,11 @@ class TestEquiSpaced:
         assert res.verdict.decision == "NotSubnormal"
         assert res.identity_residual <= 1e-12
 
+    @pytest.mark.parametrize("k", [96, 128, 256])
+    def test_decides_not_subnormal_at_large_k(self, k):
+        res = PipelineResult(parse_measure(equi_spaced(k)), NumericPolicy())
+        assert res.verdict.decision == "NotSubnormal"
+
     @pytest.mark.parametrize("k", [2, 3, 6, 8, 12])
     def test_sorted_by_angle_from_zero(self, k):
         # alpha_j = alpha_0 e^{2 pi i j/k}: signed-zero imaginary parts must not
@@ -209,6 +215,35 @@ class TestEquiSpaced:
         assert nearest_gap(fr_rot.alphas, rotated) <= 1e-9
         assert nearest_gap(rotated, fr_rot.alphas) <= 1e-9
         assert fr_rot.d == pytest.approx(fr.d, rel=1e-9)
+
+
+def masked_omit_one(x):
+    """prod_{l != j} x[..., l] through a (..., k, k) array with ones on the
+    diagonal, as trig_values and OuterData.parts first formed it."""
+    k = x.shape[-1]
+    return np.prod(np.where(np.eye(k, dtype=bool), 1.0, x[..., None, :]), axis=-1)
+
+
+# entries of modulus in [1/4, 4] or exactly zero: no product of up to 12 of
+# them under- or overflows, so the two orders of multiplication differ by
+# rounding alone and agree on every exact zero
+_entry = st.one_of(st.just(0.0), st.floats(0.25, 4.0), st.floats(-4.0, -0.25))
+
+
+class TestOmitOne:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(1, 12).flatmap(lambda k: st.lists(
+        st.lists(st.tuples(_entry, _entry), min_size=k, max_size=k),
+        min_size=1, max_size=4)))
+    def test_matches_masked_product(self, rows):
+        x = np.array([[complex(a, b) for a, b in row] for row in rows])
+        got, want = omit_one(x), masked_omit_one(x)
+        assert got.shape == want.shape == x.shape
+        assert np.array_equal(got == 0, want == 0)
+        assert np.allclose(got, want, rtol=1e-14, atol=0)
+        real = omit_one(x.real)
+        assert real.dtype == np.float64
+        assert np.allclose(real, masked_omit_one(x.real), rtol=1e-14, atol=0)
 
 
 class TestVerifyIdentity:

@@ -8,6 +8,7 @@ import pytest
 from cdsp import parse_measure, rotate_measure
 from cdsp.errors import ParseError, ValidationError
 from cdsp.measure import CirclePoint, Measure, _unit_from_turns
+from cdsp.report import measure_json
 
 
 class TestParse:
@@ -34,11 +35,15 @@ class TestParse:
         assert 1j in m.points
 
     def test_json_roundtrip(self):
-        m = parse_measure("0,1/3,2/3:1,2,0.5")
-        m2 = parse_measure(m.to_json())
-        assert m2.to_json() == m.to_json()
-        assert np.allclose(m.points, m2.points)
-        assert m.weights == m2.weights
+        # the report's measure section is itself a measure document
+        for spec in ("0,1/3,2/3:1,2,0.5",
+                     '{"atoms": [{"angle": 0.3, "weight": 2.0}, {"turns": "1/2", "weight": 1}]}'):
+            m = parse_measure(spec)
+            text = json.dumps(measure_json(m))
+            m2 = parse_measure(text)
+            assert json.dumps(measure_json(m2)) == text, spec
+            assert np.allclose(m.points, m2.points, rtol=0, atol=1e-15), spec
+            assert m.weights == m2.weights, spec
 
     @pytest.mark.parametrize("bad", ["", "0", "0:1:2x", "a,b:1,1", "0,1/3:1"])
     def test_malformed(self, bad):

@@ -4,23 +4,29 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 
-from cdsp import build_dirichlet, extract_C, factorize, parse_measure, rotate_measure
+from cdsp import (NumericPolicy, PipelineResult, build_dirichlet, debranges, extract_C,
+                  factorize, parse_measure, rotate_measure)
 from cdsp.debranges import eval_S
 from cdsp.errors import CdspError, DegenerateAlphas
 from cdsp.fejer import FejerRiesz
-from cdsp.policy import NumericPolicy
 from cdsp.verdict import (INCONCLUSIVE, NOT_SUBNORMAL, SUBNORMAL_NUMERIC,
                           PairEvidence, PsdProbe, decide, moment_truncation, offdiag_sums,
-                          pair_premises, psd_search, root_values)
+                          pair_premises, psd_search)
 from cdsp.verdict import _diff_products
-from conftest import Pipe, equi_spaced, random_measures
+from conftest import Pipe, S_at, equi_spaced, random_measures
 
 
 EQUI8 = equi_spaced(8)
 
 
+def S_of(pipe):
+    """The k x k root values S(alpha_r, alpha_t), as the pipeline computes them."""
+    return eval_S(pipe.dd, pipe.fr.alphas, pipe.fr.alphas)
+
+
 def s_of(pipe):
-    return lambda z, u: eval_S(pipe.dd, z, u)
+    """S at one pair of points, for the per-pair loops below."""
+    return lambda z, u: S_at(pipe.dd, z, u)
 
 
 @pytest.fixture(scope="module")
@@ -89,13 +95,6 @@ def premises(evidence):
     return [(ev.r, ev.t, ev.product, ev.premise_ok) for ev in evidence]
 
 
-def broadcast_error(fr, dd):
-    """max |root_values - scalar loop| / max |S| for s_eval = eval_S."""
-    s = lambda z, u: eval_S(dd, z, u)
-    want = scalar_root_values(fr, s)
-    return np.max(np.abs(root_values(fr, s) - want)) / np.max(np.abs(want))
-
-
 class TestPremises:
     def test_reference_cases_all_hold(self, pipes):
         for pipe in pipes.values():
@@ -118,8 +117,7 @@ class TestPremises:
 
 class TestOffdiag:
     def test_three_point_normalized_norm(self, three_point):
-        evs = offdiag_sums(three_point.fr,
-                           root_values(three_point.fr, s_of(three_point)))
+        evs = offdiag_sums(three_point.fr, S_of(three_point))
         norms = [abs(ev.S_rt) / ev.S_scale for ev in evs]
         # all six pairs have the same size by symmetry
         assert max(norms) == pytest.approx(min(norms), rel=1e-8)
@@ -127,13 +125,13 @@ class TestOffdiag:
 
     def test_antipodal_vanishes(self, pipes):
         pipe = pipes["antipodal"]
-        evs = offdiag_sums(pipe.fr, root_values(pipe.fr, s_of(pipe)))
+        evs = offdiag_sums(pipe.fr, S_of(pipe))
         assert max(abs(ev.S_rt) / ev.S_scale for ev in evs) < 1e-9
 
     def test_scale_is_geometric_mean_of_diagonal(self, three_point):
         fr = three_point.fr
         s = s_of(three_point)
-        evs = offdiag_sums(fr, root_values(fr, s))
+        evs = offdiag_sums(fr, S_of(three_point))
         d0 = s(fr.alphas[0], fr.alphas[0]).real
         d1 = s(fr.alphas[1], fr.alphas[1]).real
         ev = next(e for e in evs if (e.r, e.t) == (0, 1))
@@ -161,7 +159,7 @@ def loop_pair_evidence(fr, S):
 def assert_evidence_is_loop(pipe):
     """pair_premises, offdiag_sums and decide's max_offdiag_norm equal the
     double loop bit for bit, with the loop's Python types."""
-    S = root_values(pipe.fr, s_of(pipe))
+    S = S_of(pipe)
     want = loop_pair_evidence(pipe.fr, S)
     got = offdiag_sums(pipe.fr, S)
     assert [tuple(ev) for ev in got] == want
@@ -169,7 +167,7 @@ def assert_evidence_is_loop(pipe):
     for ev in got:
         assert [type(x) for x in ev] == [int, int, complex, bool, complex, float]
     norms = [abs(s_rt) / scale for *_, s_rt, scale in want]
-    assert decide(pipe.fr, s_of(pipe)).max_offdiag_norm == (max(norms) if norms else 0.0)
+    assert decide(pipe.fr, S).max_offdiag_norm == (max(norms) if norms else 0.0)
 
 
 class TestPairEvidenceIsLoop:
@@ -205,31 +203,28 @@ class TestPairEvidenceIsLoop:
 
 class TestMomentTruncation:
     def test_hermitian(self, three_point):
-        M = moment_truncation(three_point.fr, s_of(three_point), 2, 12)
+        M = moment_truncation(three_point.fr, S_of(three_point), 2, 12)
         assert np.linalg.norm(M - M.conj().T) < 1e-12
 
     def test_antipodal_truncations_psd(self, pipes):
         pipe = pipes["antipodal"]
         for l in range(1, 6):
-            M = moment_truncation(pipe.fr, s_of(pipe), l, 32)
+            M = moment_truncation(pipe.fr, S_of(pipe), l, 32)
             tr = abs(np.trace(M).real)
             assert np.min(np.linalg.eigvalsh(M)) >= -1e-10 * tr
 
     def test_three_point_violation_appears(self, three_point):
-        probes = psd_search(three_point.fr,
-                            root_values(three_point.fr, s_of(three_point)), 16, 64,
-                            psd_tol=1e-10)
+        probes = psd_search(three_point.fr, S_of(three_point), 16, 64, psd_tol=1e-10)
         tol = 1e-8
         assert any(p.min_eig < -tol * abs(p.trace) for p in probes)
 
     def test_degenerate_roots_rejected(self):
         fr = FejerRiesz(np.array([2.0 + 0j, 2.0 + 0j]), 1.0)
         with pytest.raises(DegenerateAlphas):
-            moment_truncation(fr, lambda z, u: 1.0, 1, 8)
+            moment_truncation(fr, np.ones((2, 2), dtype=complex), 1, 8)
 
     def test_exhaustive_collects_all_orders(self, three_point):
-        probes = psd_search(three_point.fr,
-                            root_values(three_point.fr, s_of(three_point)), 6, 32,
+        probes = psd_search(three_point.fr, S_of(three_point), 6, 32,
                             psd_tol=1e-10, exhaustive=True)
         assert [p.l for p in probes] == [1, 2, 3, 4, 5, 6]
 
@@ -239,23 +234,22 @@ class TestDecide:
         expect = {"three_point": NOT_SUBNORMAL, "single": SUBNORMAL_NUMERIC,
                   "antipodal": SUBNORMAL_NUMERIC, "quarter": NOT_SUBNORMAL}
         for name, pipe in pipes.items():
-            v = decide(pipe.fr, s_of(pipe))
+            v = decide(pipe.fr, S_of(pipe))
             assert v.decision == expect[name], name
 
     def test_three_point_max_norm(self, three_point):
-        v = decide(three_point.fr, s_of(three_point))
+        v = decide(three_point.fr, S_of(three_point))
         assert v.max_offdiag_norm == pytest.approx(0.182, abs=2e-3)
 
     def test_gray_zone_is_inconclusive(self):
         fr = FejerRiesz(np.array([2.0 + 0j, 3.0j]), 1.0)
-        s = lambda z, u: np.where(np.abs(z - u) < 1e-12, 1.0, 1e-5)
-        v = decide(fr, s, run_psd=False)
+        S = np.where(np.eye(2, dtype=bool), 1.0, 1e-5).astype(complex)
+        v = decide(fr, S, run_psd=False)
         assert v.decision == INCONCLUSIVE
 
     def test_broken_premise_without_violation_is_inconclusive(self):
         fr = FejerRiesz(np.array([2.0 + 0j, 3.0 + 0j]), 1.0)
-        s = lambda z, u: np.where(np.abs(z - u) < 1e-12, 1.0, 0.0)
-        v = decide(fr, s, run_psd=False)
+        v = decide(fr, np.eye(2, dtype=complex), run_psd=False)
         assert v.decision == INCONCLUSIVE
 
     def test_rotation_invariance(self, three_point):
@@ -263,8 +257,8 @@ class TestDecide:
         fr = factorize(m)
         dd = build_dirichlet(m, fr)
         extract_C(dd)
-        v = decide(fr, lambda z, u: eval_S(dd, z, u))
-        v0 = decide(three_point.fr, s_of(three_point))
+        v = decide(fr, eval_S(dd, fr.alphas, fr.alphas))
+        v0 = decide(three_point.fr, S_of(three_point))
         assert v.decision == v0.decision == NOT_SUBNORMAL
         assert v.max_offdiag_norm == pytest.approx(v0.max_offdiag_norm, rel=1e-7)
 
@@ -273,7 +267,7 @@ class TestDecide:
             m = __import__("cdsp").parse_measure(spec)
             fr = factorize(m)
             dd = build_dirichlet(m, fr)
-            v = decide(fr, lambda z, u, dd=dd: eval_S(dd, z, u))
+            v = decide(fr, eval_S(dd, fr.alphas, fr.alphas))
             if spec.startswith("0"):
                 first = v
             else:
@@ -285,7 +279,7 @@ class TestDecide:
         # absurdly loose rejection threshold pushes the reference case into
         # the gray zone
         loose = NumericPolicy(zero_reject=10.0, zero_accept=1e-7)
-        v = decide(three_point.fr, s_of(three_point), loose, run_psd=False)
+        v = decide(three_point.fr, S_of(three_point), loose, run_psd=False)
         assert v.decision == INCONCLUSIVE
 
     def test_short_circuit_stops_at_policy_tolerance(self):
@@ -294,8 +288,8 @@ class TestDecide:
         # the short-circuit must go on to l = 3 (-1.0e-3)
         pipe = Pipe("60/997,246/997,847/997,863/997:0.731976,0.348999,0.343196,2.999")
         policy = NumericPolicy()
-        short = decide(pipe.fr, s_of(pipe), policy)
-        full = decide(pipe.fr, s_of(pipe), policy, exhaustive_psd=True)
+        short = decide(pipe.fr, S_of(pipe), policy)
+        full = decide(pipe.fr, S_of(pipe), policy, exhaustive_psd=True)
         first = next(i for i, p in enumerate(full.psd_probes)
                      if p.min_eig < -policy.psd_tol * abs(p.trace))
         assert short.psd_probes == full.psd_probes[: first + 1]
@@ -310,7 +304,7 @@ class TestRootValues:
     def test_decide_matches_per_order_loop(self, reference_pipes, exhaustive):
         policy = NumericPolicy()
         for name, pipe in reference_pipes.items():
-            v = decide(pipe.fr, s_of(pipe), policy, exhaustive_psd=exhaustive)
+            v = decide(pipe.fr, S_of(pipe), policy, exhaustive_psd=exhaustive)
             evidence, max_norm, probes, decision = per_order_decide(
                 pipe.fr, s_of(pipe), policy, exhaustive)
             assert v.decision == decision, name
@@ -326,49 +320,33 @@ class TestRootValues:
                 assert abs(got.trace - want.trace) <= 1e-11 * abs(want.trace), name
 
     @pytest.mark.parametrize("exhaustive", [False, True])
-    def test_decide_evaluates_each_root_pair_once(self, reference_pipes, exhaustive):
+    def test_pipeline_evaluates_S_twice(self, reference_pipes, monkeypatch, exhaustive):
+        # once on the DFT nodes (extract_C), once on the exterior roots
+        calls = []
+
+        def spy(dd, z, u):
+            out = eval_S(dd, z, u)
+            calls.append((np.shape(z), np.shape(u), out))
+            return out
+
+        monkeypatch.setattr(debranges, "eval_S", spy)
         for name, pipe in reference_pipes.items():
-            calls = []
-
-            def s(z, u, pipe=pipe):
-                calls.append((np.shape(z), np.shape(u)))
-                return eval_S(pipe.dd, z, u)
-
-            v = decide(pipe.fr, s, exhaustive_psd=exhaustive)
-            k = len(pipe.fr.alphas)
-            assert calls == [((k, 1), (1, k))], name
-            assert np.array_equal(v.S, root_values(pipe.fr, s_of(pipe))), name
+            calls.clear()
+            res = PipelineResult(pipe.measure, NumericPolicy(), exhaustive_psd=exhaustive)
+            k = pipe.measure.k
+            assert [c[:2] for c in calls] == [((k,), (k,)), ((k,), (k,))], name
+            assert res.verdict.S is calls[1][2], name
+            assert np.array_equal(res.verdict.S, S_of(pipe)), name
 
     def test_moment_truncation_matches_per_order_loop(self, reference_pipes):
         for name, pipe in reference_pipes.items():
             for l in (1, 2, 7):
-                got = moment_truncation(pipe.fr, s_of(pipe), l, 16)
+                got = moment_truncation(pipe.fr, S_of(pipe), l, 16)
                 want = per_order_truncation(pipe.fr, s_of(pipe), l, 16)
                 tr = abs(np.trace(want).real)
                 assert np.max(np.abs(got - want)) <= 1e-11 * tr, (name, l)
                 assert abs(np.linalg.eigvalsh(got)[0]
                            - np.linalg.eigvalsh(want)[0]) <= 1e-11 * tr, (name, l)
-
-    @pytest.mark.parametrize("k", range(2, 9))
-    def test_broadcast_equals_scalar_loop_on_random_measures(self, k):
-        @settings(max_examples=6, deadline=None, derandomize=True)
-        @given(random_measures(k_max=k, k_min=k))
-        def check(spec):
-            try:
-                m = parse_measure(spec)
-                fr = factorize(m)
-                dd = build_dirichlet(m, fr)
-            except CdspError:
-                assume(False)
-            assert broadcast_error(fr, dd) <= 1e-13
-
-        check()
-
-    @pytest.mark.parametrize("k", [3, 8, 16, 24, 32])
-    def test_broadcast_equals_scalar_loop_equi_spaced(self, k):
-        m = parse_measure(equi_spaced(k))
-        fr = factorize(m)
-        assert broadcast_error(fr, build_dirichlet(m, fr)) <= 1e-13
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(random_measures())
@@ -378,8 +356,8 @@ class TestRootValues:
         except CdspError:
             assume(False)
         policy = NumericPolicy()
-        short = decide(pipe.fr, s_of(pipe), policy)
-        full = decide(pipe.fr, s_of(pipe), policy, exhaustive_psd=True)
+        short = decide(pipe.fr, S_of(pipe), policy)
+        full = decide(pipe.fr, S_of(pipe), policy, exhaustive_psd=True)
         violations = [i for i, p in enumerate(full.psd_probes)
                       if p.min_eig < -policy.psd_tol * max(abs(p.trace), 1e-300)]
         cut = violations[0] + 1 if violations else len(full.psd_probes)
