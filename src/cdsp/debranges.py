@@ -50,11 +50,17 @@ def eval_S(dd: DirichletData, z, u) -> np.ndarray:
     """S on the grid of two 1-D point arrays: the len(z) x len(u) matrix
     outer(q(z), conj q(u)) - outer(p(z), conj p(u))
     - (1 - outer(z, conj u)) o (D(z)^T W conj D(u)), D the deflated
-    numerators; polynomial in z and conj(u) after cancellation."""
+    numerators; polynomial in z and conj(u) after cancellation.  When u is
+    z (the roots in ``PipelineResult``, the nodes in ``extract_C``) the
+    parts are evaluated once and reused for u."""
+    same = u is z
     z = np.asarray(z, dtype=complex)
-    u = np.asarray(u, dtype=complex)
     qz, pz, dz = dd.outer.parts(z)
-    qu, pu, du = dd.outer.parts(u)
+    if same:
+        u, qu, pu, du = z, qz, pz, dz
+    else:
+        u = np.asarray(u, dtype=complex)
+        qu, pu, du = dd.outer.parts(u)
     return (np.outer(qz, np.conj(qu)) - np.outer(pz, np.conj(pu))
             - (1.0 - np.outer(z, np.conj(u))) * (dz.T @ dd.W @ np.conj(du)))
 
@@ -82,8 +88,20 @@ def extract_C(dd: DirichletData) -> HermForm:
 
 def factor_P(C: np.ndarray) -> np.ndarray:
     """Upper triangular P with nonnegative diagonal such that the rows of P
-    reproduce S: conj(C) = P^H P."""
-    return nx.cholesky_herm(np.conj(C))
+    reproduce S: conj(C) = P^H P.
+
+    LAPACK's C = L L^H gives conj(C) = (L^T)^H L^T, so P = L^T.  A C that
+    LAPACK rejects, or whose smallest pivot falls where ``cholesky_herm``
+    would clamp it, goes to ``cholesky_herm``, which clamps semidefinite
+    pivots and raises NotPSD on indefinite C."""
+    try:
+        L = np.linalg.cholesky(C)
+    except np.linalg.LinAlgError:
+        return nx.cholesky_herm(np.conj(C))
+    # a NaN pivot fails the comparison, so it falls back too
+    if not np.min(np.diag(L).real) ** 2 > nx.CLAMP_TOL * nx.pivot_scale(C):
+        return nx.cholesky_herm(np.conj(C))
+    return L.T
 
 
 def make_schur(dd: DirichletData, hf: HermForm) -> SchurData:

@@ -56,8 +56,14 @@ class CirclePoint:
 
     @classmethod
     def from_turns(cls, t) -> "CirclePoint":
+        # the value is derived from t here, so __post_init__'s check against
+        # t (which would derive it a second time) is skipped: a unit from
+        # _unit_from_turns is finite and on the circle by construction
         t = Fraction(t)
-        return cls(_unit_from_turns(t), t)
+        pt = object.__new__(cls)
+        object.__setattr__(pt, "value", _unit_from_turns(t))
+        object.__setattr__(pt, "exact_turns", t)
+        return pt
 
     @classmethod
     def from_angle(cls, radians: float) -> "CirclePoint":

@@ -14,6 +14,8 @@ from .errors import NonConvergence, NotARoot, NotPSD, Singular
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 # cholesky_herm's bound on ||U^H U - M|| relative to ||M||
 RECON_TOL = 1e-9
+# cholesky_herm clamps a pivot at or below CLAMP_TOL * pivot_scale(M)
+CLAMP_TOL = 1e-14
 
 
 def as_poly(coeffs) -> np.ndarray:
@@ -135,6 +137,11 @@ def herm_check(M: np.ndarray, tol: float = 1e-12) -> None:
         raise ValueError("matrix is not Hermitian within tolerance")
 
 
+def pivot_scale(M) -> float:
+    """The trace of a Hermitian M, or its largest entry if that is larger."""
+    return max(float(np.trace(M).real), float(np.max(np.abs(M))), 1e-300)
+
+
 def cholesky_herm(M) -> np.ndarray:
     """Upper-triangular U with M = U^H U for a Hermitian PSD matrix.
 
@@ -145,13 +152,13 @@ def cholesky_herm(M) -> np.ndarray:
     herm_check(A)
     A = 0.5 * (A + A.conj().T)
     n = A.shape[0]
-    tr = max(float(np.trace(A).real), float(np.max(np.abs(A))), 1e-300)
+    tr = pivot_scale(A)
     L = np.zeros((n, n), dtype=complex)
     for j in range(n):
         d = A[j, j].real - float(np.sum(np.abs(L[j, :j]) ** 2))
         if d < -1e-8 * tr:
             raise NotPSD(f"pivot {d:.3e} at index {j}")
-        if d <= 1e-14 * tr:
+        if d <= CLAMP_TOL * tr:
             # clamped pivot: row contributes nothing
             continue
         L[j, j] = np.sqrt(d)

@@ -7,11 +7,12 @@ from hypothesis import HealthCheck, assume, example, given, settings
 
 from cdsp import (NumericPolicy, PipelineResult, build_dirichlet, factorize, parse_measure,
                   verify_identity)
+from cdsp import numerics as nx
 from cdsp.debranges import eval_S, extract_C, factor_P, kernel_KB, make_schur
-from cdsp.dirichlet import kernel_full
+from cdsp.dirichlet import OuterData, kernel_full
 from cdsp.errors import CdspError, NotPSD
 from cdsp.report import analyze
-from conftest import (ALPHA_CONST, B_CONST, W_CONST, X_CONST, S_at, equi_spaced,
+from conftest import (ALPHA_CONST, B_CONST, SPECS, W_CONST, X_CONST, S_at, equi_spaced,
                       random_measures)
 
 
@@ -172,6 +173,33 @@ class TestEvalS:
                 assert grid[i, j] == pytest.approx(
                     S_at(three_point.dd, z, u), rel=1e-12)
 
+    def test_one_parts_call_for_one_point_set(self, three_point, monkeypatch):
+        calls = []
+        parts = OuterData.parts
+
+        def spy(self, z):
+            calls.append(z)
+            return parts(self, z)
+
+        monkeypatch.setattr(OuterData, "parts", spy)
+        z = three_point.fr.alphas
+        eval_S(three_point.dd, z, z)
+        assert len(calls) == 1
+        eval_S(three_point.dd, z, z.copy())
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("spec", [SPECS["three_point"], equi_spaced(8), equi_spaced(64)]
+                             + [seeded_measure(k, k) for k in range(2, 9)],
+                             ids=["ref3", "equi8", "equi64"]
+                             + [f"random{k}" for k in range(2, 9)])
+    def test_reused_parts_are_bit_identical(self, spec):
+        m = parse_measure(spec)
+        fr = factorize(m)
+        dd = build_dirichlet(m, fr)
+        nodes = np.exp(2j * np.pi * np.arange(m.k) / m.k + 0.37j)
+        for z in (fr.alphas, nodes):
+            assert np.array_equal(eval_S(dd, z, z), eval_S(dd, z, z.copy()))
+
 
 class TestExtractC:
     def test_three_point_diagonal(self, three_point):
@@ -278,6 +306,49 @@ class TestFactorP:
                 z, u = [complex(*rng.uniform(-1.2, 1.2, 2)) for _ in range(2)]
                 assert eval_S_from_P(pipe.hf.P, z, u) == pytest.approx(
                     S_at(pipe.dd, z, u), abs=1e-8)
+
+    @staticmethod
+    def assert_matches_clamped_loop(C):
+        want = nx.cholesky_herm(np.conj(C))
+        assert np.max(np.abs(factor_P(C) - want)) <= 1e-9 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("spec", [SPECS["three_point"], equi_spaced(16), equi_spaced(128)],
+                             ids=["ref3", "equi16", "equi128"])
+    def test_lapack_matches_clamped_loop(self, spec):
+        m = parse_measure(spec)
+        self.assert_matches_clamped_loop(extract_C(build_dirichlet(m, factorize(m))).C)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(random_measures(k_max=8))
+    def test_lapack_matches_clamped_loop_on_random_measures(self, spec):
+        try:
+            m = parse_measure(spec)
+            C = extract_C(build_dirichlet(m, factorize(m))).C
+        except CdspError:
+            assume(False)
+        self.assert_matches_clamped_loop(C)
+
+    def test_no_loop_for_definite_C(self, three_point, monkeypatch):
+        calls = []
+        monkeypatch.setattr(nx, "cholesky_herm", lambda M: calls.append(M))
+        P = factor_P(three_point.hf.C)
+        assert calls == []
+        assert np.array_equal(P, three_point.hf.P)
+
+    # LAPACK rejects the rank-one C; it factors diag(1, 1e-16), but its
+    # second pivot squared lies under the clamp threshold 1e-14 * trace
+    @pytest.mark.parametrize("C", [
+        np.outer([1.0, 2.0 - 1j, 0.5j], [1.0, 2.0 + 1j, -0.5j]),
+        np.diag([1.0, 1e-16]).astype(complex),
+    ], ids=["rank_one", "tiny_pivot"])
+    def test_semidefinite_C_takes_the_clamped_factor(self, C):
+        want = nx.cholesky_herm(np.conj(C))
+        assert np.array_equal(factor_P(C), want)
+        assert np.count_nonzero(np.diag(want)) == 1
+
+    def test_indefinite_C_raises(self):
+        with pytest.raises(NotPSD):
+            factor_P(np.array([[1.0, 2.0j], [-2.0j, 1.0]]))
 
 
 class TestSchur:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cdsp import measure as measure_mod
 from cdsp import parse_measure, rotate_measure
 from cdsp.errors import ParseError, ValidationError
 from cdsp.measure import CirclePoint, Measure, _unit_from_turns
@@ -129,3 +130,25 @@ class TestUnitFromTurns:
         for t in turns:
             # repr tells -0.0 from 0.0
             assert repr(_unit_from_turns(t)) == repr(fraction_unit_from_turns(t)), t
+
+
+class TestFromTurns:
+    def test_one_unit_per_exact_atom(self, monkeypatch):
+        calls = []
+
+        def spy(t):
+            calls.append(t)
+            return _unit_from_turns(t)
+
+        monkeypatch.setattr(measure_mod, "_unit_from_turns", spy)
+        m = parse_measure("0,1/8,1/4,3/8,1/2,5/8,3/4,7/8:1,1,1,1,1,1,1,1")
+        assert len(calls) == m.k == 8
+
+    def test_equals_checked_construction(self):
+        for t in (0, Fraction(1, 3), Fraction(-5, 4), Fraction(43, 997)):
+            t = Fraction(t)
+            assert CirclePoint.from_turns(t) == CirclePoint(_unit_from_turns(t), t)
+
+    def test_inconsistent_direct_construction_raises(self):
+        with pytest.raises(ValidationError, match="inconsistent"):
+            CirclePoint(1j, Fraction(1, 3))
