@@ -6,8 +6,8 @@ from .policy import NumericPolicy
 from .fejer import TrigPoly, FejerRiesz, build_trig, factorize, verify_identity
 from .dirichlet import (DirichletData, OuterData, build_dirichlet, build_outer,
                         eval_f, kernel_full, kernel_omu, kernel_perp)
-from .debranges import (HermForm, SchurData, eval_S, extract_C, factor_P,
-                        kernel_KB, make_schur)
+from .debranges import (HermForm, eval_S, eval_schur, extract_C, factor_P,
+                        kernel_KB)
 from .verdict import (PairEvidence, PsdProbe, Verdict, decide,
                       moment_truncation, offdiag_sums, pair_premises,
                       psd_search)
@@ -19,8 +19,8 @@ __all__ = [
     "TrigPoly", "FejerRiesz", "build_trig", "factorize", "verify_identity",
     "DirichletData", "OuterData", "build_dirichlet", "build_outer",
     "eval_f", "kernel_full", "kernel_omu", "kernel_perp",
-    "HermForm", "SchurData", "eval_S", "extract_C", "factor_P",
-    "kernel_KB", "make_schur",
+    "HermForm", "eval_S", "eval_schur", "extract_C", "factor_P",
+    "kernel_KB",
     "PairEvidence", "PsdProbe", "Verdict", "decide", "moment_truncation",
     "offdiag_sums", "pair_premises", "psd_search",
     "PipelineResult", "analyze", "reference_checks",

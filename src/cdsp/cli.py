@@ -181,16 +181,9 @@ def cmd_kernel(args) -> int:
     res = PipelineResult(parse_measure(_load_measure_arg(args.measure)), policy)
     kt = dirichlet.kernel_omu(res.dd, z, lam)
     kp = dirichlet.kernel_perp(res.dd, z, lam)
-    kb = debranges.kernel_KB(res.sd, z, lam)
-    out = {
-        "z": {"re": z.real, "im": z.imag},
-        "lam": {"re": lam.real, "im": lam.imag},
-        "K_subspace": {"re": kt.real, "im": kt.imag},
-        "K_complement": {"re": kp.real, "im": kp.imag},
-        "K_full": {"re": (kt + kp).real, "im": (kt + kp).imag},
-        "K_B": {"re": kb.real, "im": kb.imag},
-        "difference": abs(kt + kp - kb),
-    }
+    kb = debranges.kernel_KB(res.dd, res.hf, z, lam)
+    out = {"z": z, "lam": lam, "K_subspace": kt, "K_complement": kp,
+           "K_full": kt + kp, "K_B": kb, "difference": abs(kt + kp - kb)}
     return 0 if _emit(report_to_json(out), args.out) else 2
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nx
-from .dirichlet import DirichletData, OuterData
+from .dirichlet import DirichletData
 from .errors import IllConditioned
 
 
@@ -29,21 +29,6 @@ class HermForm:
     k: int
     C: np.ndarray  # coefficient of z^m conj(u)^n at C[m-1, n-1], m,n = 1..k
     P: np.ndarray  # upper triangular, rows are coefficient vectors of p_j over z^1..z^k
-
-
-@dataclass(frozen=True)
-class SchurData:
-    P: np.ndarray
-    outer: OuterData  # its pole polynomial q is the denominator of B
-
-    @property
-    def k(self) -> int:
-        return self.P.shape[0]
-
-    def eval_components(self, z):
-        """Row vector B(z) = (p_1/q, ..., p_k/q)."""
-        zp = np.array([z ** m for m in range(1, self.k + 1)], dtype=complex)
-        return (self.P @ zp) / self.outer.parts(z)[0]
 
 
 def eval_S(dd: DirichletData, z, u) -> np.ndarray:
@@ -104,12 +89,15 @@ def factor_P(C: np.ndarray) -> np.ndarray:
     return L.T
 
 
-def make_schur(dd: DirichletData, hf: HermForm) -> SchurData:
-    return SchurData(hf.P, dd.outer)
+def eval_schur(dd: DirichletData, hf: HermForm, z: complex) -> np.ndarray:
+    """Row vector B(z) = (p_1/q, ..., p_k/q): the rows of P over the pole
+    polynomial q of the outer function."""
+    zp = np.array([z ** m for m in range(1, hf.k + 1)], dtype=complex)
+    return (hf.P @ zp) / dd.outer.parts(z)[0]
 
 
-def kernel_KB(sd: SchurData, z: complex, w: complex) -> complex:
+def kernel_KB(dd: DirichletData, hf: HermForm, z: complex, w: complex) -> complex:
     """(1 - B(z) B(w)^*) / (1 - z conj(w))."""
-    bz = sd.eval_components(z)
-    bw = sd.eval_components(w)
+    bz = eval_schur(dd, hf, z)
+    bw = eval_schur(dd, hf, w)
     return complex((1.0 - np.sum(bz * np.conj(bw))) / (1.0 - z * np.conj(w)))

@@ -129,6 +129,9 @@ def parse_measure(spec: str) -> Measure:
 
 
 def _number(value, what: str) -> float:
+    # float(True) is 1.0, but JSON true is not a number
+    if isinstance(value, bool):
+        raise ParseError(f"{what} must be a number, got {value!r}")
     try:
         return float(value)
     except (TypeError, ValueError, OverflowError) as exc:

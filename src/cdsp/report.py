@@ -18,21 +18,10 @@ from .policy import NumericPolicy
 SCHEMA_VERSION = 1
 
 
-def cjson(z) -> dict:
-    z = complex(z)
-    return {"re": z.real, "im": z.imag}
-
-
 def _atom_json(pt, wt):
     if pt.exact_turns is not None:
         return {"turns": str(pt.exact_turns), "weight": wt}
     return {"angle": float(np.angle(pt.value)), "weight": wt}
-
-
-def cmatrix_json(M) -> list:
-    """Rows of {"re", "im"} dicts, read through one ``tolist`` call."""
-    return [[{"re": z.real, "im": z.imag} for z in row]
-            for row in np.asarray(M, dtype=complex).tolist()]
 
 
 def measure_json(m: Measure) -> dict:
@@ -53,7 +42,6 @@ class PipelineResult:
             raise IdentityResidual(self.identity_residual, policy.identity_tol)
         self.dd = dirichlet.build_dirichlet(m, self.fr)
         self.hf = debranges.extract_C(self.dd)
-        self.sd = debranges.make_schur(self.dd, self.hf)
         S = debranges.eval_S(self.dd, self.fr.alphas, self.fr.alphas)
         self.verdict = vd.decide(self.fr, S, policy, exhaustive_psd=exhaustive_psd)
         self.oracle_report = None
@@ -90,28 +78,30 @@ def analyze(measure_spec: str, policy: Optional[NumericPolicy] = None,
 
 
 def build_report(res: PipelineResult) -> dict:
+    """The report of one analysis; complex values stay Python ``complex``
+    until ``report_to_json`` spells them."""
     v = res.verdict
     rep = {
         "schema": SCHEMA_VERSION,
         "measure": measure_json(res.measure),
         "factorization": {
-            "alphas": [cjson(a) for a in res.fr.alphas],
+            "alphas": res.fr.alphas.tolist(),
             "d": res.fr.d,
             "identity_residual": res.identity_residual,
         },
         "gram": {
-            "D": cmatrix_json(res.dd.D),
-            "B": cmatrix_json(res.dd.B),
+            "D": res.dd.D.tolist(),
+            "B": res.dd.B.tolist(),
             "asymmetry": res.dd.gram_asymmetry,
         },
         "hermitian_form": {
-            "C": cmatrix_json(res.hf.C),
-            "P": cmatrix_json(res.hf.P),
+            "C": res.hf.C.tolist(),
+            "P": res.hf.P.tolist(),
         },
         "S": {
             "diagonal": v.S.diagonal().real.tolist(),
             "offdiagonal": [
-                {"r": ev.r, "t": ev.t, "value": cjson(ev.S_rt),
+                {"r": ev.r, "t": ev.t, "value": ev.S_rt,
                  "normalized": norm, "premise_ok": ev.premise_ok}
                 for ev, norm in zip(v.pair_evidence, vd.offdiag_norms(v.pair_evidence))
             ],
@@ -133,11 +123,14 @@ def build_report(res: PipelineResult) -> dict:
 
 
 def report_to_json(rep: dict) -> str:
-    """The text of ``json.dumps(rep, indent=2)``, byte for byte.
+    """The text of ``json.dumps(rep, indent=2, default=complex_parts)``,
+    byte for byte: a ``complex`` (``np.complex128`` included) is written as
+    ``{"re": z.real, "im": z.imag}``.
 
     CPython 3.10/3.11 run the pure-Python encoder whenever ``indent`` is
     set; this writer builds the same text from whole strings per container.
-    Dict keys must be ``str``; a value json cannot encode raises TypeError.
+    Dict keys must be ``str``; any other value json cannot encode raises
+    TypeError.
     """
     return _json_value(rep, "")
 
@@ -154,6 +147,11 @@ _SCALAR_WORDS = {
 }
 
 
+def complex_parts(z) -> dict:
+    """The JSON object that stands for a complex number."""
+    return {"re": z.real, "im": z.imag}
+
+
 def _json_float(x) -> str:
     r = _float_repr(x)
     return _FLOAT_WORDS.get(r, r)
@@ -167,14 +165,10 @@ def _complex_template(pad: str) -> str:
 
 def _json_member(x, pad: str, cplx: str) -> str:
     """Text of a container member other than a finite float; ``cplx`` is
-    ``_complex_template(pad)``."""
-    if type(x) is dict and len(x) == 2:
-        # a complex entry of the report: exactly {"re": float, "im": float},
-        # both finite, in that key order
-        (k1, re), (k2, im) = x.items()
-        if (k1 == "re" and k2 == "im" and type(re) is float and type(im) is float
-                and re - re + (im - im) == 0.0):
-            return cplx % (re, im)
+    ``_complex_template(pad)``, which spells an exact complex with finite
+    parts."""
+    if type(x) is complex and x - x == 0.0:
+        return cplx % (x.real, x.imag)
     return _json_value(x, pad)
 
 
@@ -221,6 +215,8 @@ def _json_value(v, pad: str) -> str:
         return _json_value(list(v), pad)
     if isinstance(v, dict):
         return _json_value(dict(v), pad)
+    if isinstance(v, complex):
+        return _json_value(complex_parts(v), pad)
     raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 

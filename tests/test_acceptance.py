@@ -16,7 +16,7 @@ import pytest
 from conftest import gram_quadrature
 from cdsp import (NumericPolicy, build_dirichlet, build_trig, extract_C,
                   factorize, parse_measure, rotate_measure)
-from cdsp.debranges import eval_S, kernel_KB, make_schur
+from cdsp.debranges import eval_S, kernel_KB
 from cdsp.dirichlet import kernel_full
 from cdsp.measure import Measure
 from cdsp.oracle import bn_form, dual_norm, monomial_gram, norm_sq
@@ -165,11 +165,11 @@ def test_criterion_6_kernel_equality():
             m = parse_measure(spec)
             fr = factorize(m)
             dd = build_dirichlet(m, fr)
-            sd = make_schur(dd, extract_C(dd))
+            hf = extract_C(dd)
             for _ in range(50):
                 z, lam = [complex(*(0.7 * rng.uniform(-1, 1, 2)))
                           for _ in range(2)]
-                kb = kernel_KB(sd, z, lam)
+                kb = kernel_KB(dd, hf, z, lam)
                 kf = kernel_full(dd, z, lam)
                 assert abs(kf - kb) <= 1e-8 * (1.0 + abs(kb))
 

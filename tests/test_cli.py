@@ -172,6 +172,13 @@ class TestAnalyze:
         assert code == 2 and out == ""
         assert "error [ParseError]:" in err
 
+    def test_boolean_weight_exit_code(self, capsys):
+        doc = {"atoms": [{"turns": "0", "weight": True}, {"turns": "1/3", "weight": 1},
+                         {"turns": "2/3", "weight": 1}]}
+        code, out, err = run(capsys, "analyze", "-m", json.dumps(doc))
+        assert code == 2 and out == ""
+        assert "error [ParseError]: weight must be a number, got True" in err
+
     def test_byte_stable_modulo_timings(self, capsys):
         reps = []
         for _ in range(2):

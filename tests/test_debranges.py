@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from cdsp import (NumericPolicy, PipelineResult, build_dirichlet, factorize, parse_measure,
                   verify_identity)
 from cdsp import numerics as nx
-from cdsp.debranges import eval_S, extract_C, factor_P, kernel_KB, make_schur
+from cdsp.debranges import eval_S, eval_schur, extract_C, factor_P, kernel_KB
 from cdsp.dirichlet import OuterData, kernel_full
 from cdsp.errors import CdspError, NotPSD
 from cdsp.report import analyze
@@ -26,10 +26,10 @@ def eval_S_from_P(P: np.ndarray, z, u):
     return np.sum(pz * np.conj(pu), axis=0)
 
 
-def schur_sup_bound(sd, radius: float = 0.999, n: int = 512) -> float:
+def schur_sup_bound(dd, hf, radius: float = 0.999, n: int = 512) -> float:
     """Sampled sup of ||B(z)|| on the circle of the given radius."""
     zs = radius * np.exp(2j * np.pi * np.arange(n) / n)
-    vals = [np.sqrt(np.sum(np.abs(sd.eval_components(z)) ** 2)) for z in zs]
+    vals = [np.sqrt(np.sum(np.abs(eval_schur(dd, hf, z)) ** 2)) for z in zs]
     return float(np.max(vals))
 
 
@@ -354,33 +354,28 @@ class TestFactorP:
 class TestSchur:
     def test_vanishes_at_origin(self, pipes):
         for pipe in pipes.values():
-            sd = make_schur(pipe.dd, pipe.hf)
-            assert np.max(np.abs(sd.eval_components(0.0))) < 1e-14
+            assert np.max(np.abs(eval_schur(pipe.dd, pipe.hf, 0.0))) < 1e-14
 
     def test_contractive_in_disc(self, pipes):
         for pipe in pipes.values():
-            sd = make_schur(pipe.dd, pipe.hf)
-            assert schur_sup_bound(sd) <= 1.0 + 1e-9
+            assert schur_sup_bound(pipe.dd, pipe.hf) <= 1.0 + 1e-9
 
     def test_kernel_at_origin_is_one(self, pipes):
         for pipe in pipes.values():
-            sd = make_schur(pipe.dd, pipe.hf)
             for z in (0.3, -0.4 + 0.2j):
-                assert kernel_KB(sd, z, 0.0) == pytest.approx(1.0, abs=1e-12)
+                assert kernel_KB(pipe.dd, pipe.hf, z, 0.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_kernel_matches_full_reproducing_kernel(self, pipes):
         rng = np.random.default_rng(31)
         for pipe in pipes.values():
-            sd = make_schur(pipe.dd, pipe.hf)
             for _ in range(10):
                 z, lam = [complex(*rng.uniform(-0.55, 0.55, 2)) for _ in range(2)]
-                assert kernel_KB(sd, z, lam) == pytest.approx(
+                assert kernel_KB(pipe.dd, pipe.hf, z, lam) == pytest.approx(
                     kernel_full(pipe.dd, z, lam), abs=1e-9)
 
     def test_kernel_psd_on_samples(self, pipes):
         rng = np.random.default_rng(37)
         for pipe in pipes.values():
-            sd = make_schur(pipe.dd, pipe.hf)
             zs = [complex(*rng.uniform(-0.6, 0.6, 2)) for _ in range(7)]
-            K = np.array([[kernel_KB(sd, a, b) for b in zs] for a in zs])
+            K = np.array([[kernel_KB(pipe.dd, pipe.hf, a, b) for b in zs] for a in zs])
             assert np.min(np.linalg.eigvalsh(0.5 * (K + K.conj().T))) >= -1e-9

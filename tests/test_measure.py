@@ -63,6 +63,21 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_measure(json.dumps(doc))
 
+    # each document is a valid measure once the boolean is read as 1.0 / 0.0
+    # (weight false aside, which would be a nonpositive weight)
+    @pytest.mark.parametrize("flag", [True, False])
+    @pytest.mark.parametrize("atom", [
+        lambda b: {"turns": "0", "weight": b},
+        lambda b: {"angle": b, "weight": 1},
+        lambda b: {"point": {"re": b, "im": 0 if b else 1}, "weight": 1},
+        lambda b: {"point": {"re": 0 if b else 1, "im": b}, "weight": 1},
+    ], ids=["weight", "angle", "point-re", "point-im"])
+    def test_json_booleans_are_not_numbers(self, atom, flag):
+        doc = {"atoms": [atom(flag), {"turns": "1/3", "weight": 1},
+                         {"turns": "2/3", "weight": 1}]}
+        with pytest.raises(ParseError, match="must be a number"):
+            parse_measure(json.dumps(doc))
+
     def test_duplicate_points(self):
         with pytest.raises(ValidationError):
             parse_measure("0,0:1,1")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cdsp import report
 from cdsp.report import analyze, report_to_json
 
 SPECIAL_FLOATS = [0.0, -0.0, float("nan"), float("inf"), float("-inf"),
@@ -27,6 +28,11 @@ json_values = st.recursive(
                    | st.lists(inner, max_size=5).map(tuple)
                    | st.dictionaries(st.text(), inner, max_size=5)),
     max_leaves=40)
+
+
+def re_im(z):
+    """The ``default`` hook under which json.dumps spells a complex value."""
+    return {"re": z.real, "im": z.imag}
 
 
 class TestWriter:
@@ -58,8 +64,7 @@ class TestWriter:
         value = OrderedDict(n=Count(3), s=Label("x"), p=Pair(1.5, [Pair(-0.0, None)]))
         assert report_to_json(value) == json.dumps(value, indent=2)
 
-    @pytest.mark.parametrize("bad", [np.int64(3), 1j, {1, 2}],
-                             ids=["np-int64", "complex", "set"])
+    @pytest.mark.parametrize("bad", [np.int64(3), {1, 2}], ids=["np-int64", "set"])
     def test_rejects_what_json_rejects(self, bad):
         for value in (bad, [1.0, bad], {"a": {"b": bad}}):
             with pytest.raises(TypeError):
@@ -72,8 +77,40 @@ class TestWriter:
             report_to_json({1: 2.0})
 
 
-# the writer spells {"re": finite float, "im": finite float} from one
-# template; every other dict of two keys must take the general path
+# complex values: an exact complex with finite parts is spelled from the
+# template, any other (np.complex128, a NaN or infinite part) as a dict
+complex_values = (st.builds(complex, floats, floats)
+                  | st.builds(lambda re, im: np.complex128(complex(re, im)), floats, floats))
+nested_complex_values = st.recursive(
+    complex_values | floats,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.sampled_from(["re", "im", "value", "z"]),
+                                     inner, max_size=3)),
+    max_leaves=20)
+
+
+class TestComplexValues:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(nested_complex_values)
+    def test_equals_json_dumps_with_hook(self, value):
+        want = json.dumps(value, indent=2, default=re_im)
+        assert report_to_json(value) == want
+        assert json.dumps(value, indent=2, default=report.complex_parts) == want
+
+    @pytest.mark.parametrize("value", [
+        1.5 - 0.25j, complex(-0.0, -0.0), complex(0.0, -0.0),
+        complex(float("nan"), 1.0), complex(1.0, float("-inf")), complex(float("inf"), 0.0),
+        np.complex128(0.1 + 0.2j), np.complex128(complex(float("nan"), -0.0)),
+    ], ids=["plain", "negative-zeros", "negative-zero-im", "nan-re", "-inf-im", "inf-re",
+            "np-complex128", "np-complex128-nan"])
+    def test_single_values(self, value):
+        for wrapped in (value, [value], {"value": value}, [[value, value]]):
+            assert report_to_json(wrapped) == json.dumps(wrapped, indent=2, default=re_im)
+
+
+# dicts of two keys, {"re": float, "im": float} included, are containers
+# like any other and take the general path
 class Half(float):
     pass
 
@@ -151,4 +188,4 @@ def _random_spec(seed, k):
 ], ids=["ref3-oracle-exhaustive", "antipodal", "equi8", "equi16", "random7"])
 def test_pipeline_report_is_json_dumps(spec, kwargs):
     rep = analyze(spec, **kwargs)
-    assert report_to_json(rep) == json.dumps(rep, indent=2)
+    assert report_to_json(rep) == json.dumps(rep, indent=2, default=re_im)
