@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -135,7 +136,6 @@ def report_to_json(rep: dict) -> str:
     return _json_value(rep, "")
 
 
-_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _float_repr = float.__repr__
 # members of these exact types are spelled without a call of _json_value;
 # subclasses (an int subclass may override __repr__) take the general path
@@ -148,13 +148,11 @@ _SCALAR_WORDS = {
 
 
 def complex_parts(z) -> dict:
-    """The JSON object that stands for a complex number."""
+    """The JSON object that stands for a complex number; the ``default``
+    hook of ``json.dumps`` for reports, so any other type raises TypeError."""
+    if not isinstance(z, complex):
+        raise TypeError(f"Object of type {type(z).__name__} is not JSON serializable")
     return {"re": z.real, "im": z.imag}
-
-
-def _json_float(x) -> str:
-    r = _float_repr(x)
-    return _FLOAT_WORDS.get(r, r)
 
 
 def _complex_template(pad: str) -> str:
@@ -176,8 +174,6 @@ def _json_value(v, pad: str) -> str:
     # finite floats (x - x == 0.0), the bulk of a report, are spelled in the
     # containers' comprehensions without a call per value
     t = type(v)
-    if t is float:
-        return _json_float(v)
     if t is dict:
         if not v:
             return "{}"
@@ -198,26 +194,9 @@ def _json_value(v, pad: str) -> str:
             else _SCALAR_WORDS[type(x)](x) if type(x) in _SCALAR_WORDS
             else _json_member(x, inner, cplx)
             for x in v]) + "\n" + pad + "]")
-    # everything else in the order json.encoder tests it
-    if isinstance(v, str):
-        return _json_str(v)
-    if v is None:
-        return "null"
-    if v is True:
-        return "true"
-    if v is False:
-        return "false"
-    if isinstance(v, int):
-        return int.__repr__(v)
-    if isinstance(v, float):
-        return _json_float(v)
-    if isinstance(v, (list, tuple)):
-        return _json_value(list(v), pad)
-    if isinstance(v, dict):
-        return _json_value(dict(v), pad)
-    if isinstance(v, complex):
-        return _json_value(complex_parts(v), pad)
-    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+    # the rare rest (NaN and infinite floats, np.complex128, subclasses, a
+    # scalar at the top level) goes to the stdlib encoder
+    return json.dumps(v, indent=2, default=complex_parts).replace("\n", "\n" + pad)
 
 
 # ---------------------------------------------------------------------------
@@ -225,13 +204,38 @@ def _json_value(v, pad: str) -> str:
 # three-point unit-weight measure (the rank-3 counter-example)
 # ---------------------------------------------------------------------------
 
+# the items that compare the pipeline with the closed forms, in report order;
+# they need unit weights
+CLOSED_FORM_ITEMS = (
+    "trig_coefficients", "alpha_cubed", "d_times_b", "outer_derivative_modulus",
+    "gram_entries", "gram_determinant", "inverse_gram", "S_closed_form_coefficients",
+    "cross_identity_x(x+1)", "cross_identity_x(x-1)", "offdiag_quadratic_nonroot",
+)
+
+
+def _circulant(first_row) -> np.ndarray:
+    """The matrix whose row i is ``first_row`` shifted right by i."""
+    row = np.asarray(first_row, dtype=complex)
+    return np.array([np.roll(row, i) for i in range(len(row))])
+
+
 def closed_form_constants() -> dict:
     """Exact reference constants for the three-equi-spaced-atoms example,
-    derived by rationalization: b = (11 + 3 sqrt 13)/2, x = (sqrt 13 - 1)/2."""
+    derived by rationalization: b = (11 + 3 sqrt 13)/2, x = (sqrt 13 - 1)/2.
+
+    Also the paper's displayed objects as arrays, for the atoms 0, 1/3, 2/3
+    in that order: the Laurent coefficients ``T`` of T (m = -3..3), the Gram
+    matrix ``D``, its inverse ``B`` and the coefficient matrix ``C`` of S.
+    """
     b = (11.0 + 3.0 * np.sqrt(13.0)) / 2.0
     x = (np.sqrt(13.0) - 1.0) / 2.0
     w = complex(-0.5, np.sqrt(3.0) / 2.0)
     s = 1.0 / (w - 1.0)
+    sc = np.conj(s)
+    det_D = x * (x * x - 1.0)
+    S_coeffs = ((1.0 - b) + 3.0 * b / (x + 1.0),
+                3.0 * b / (x * (x + 1.0)),
+                3.0 * b / (x * (x - 1.0)))
     return {
         "b": b,
         "alpha": b ** (1.0 / 3.0),
@@ -239,35 +243,36 @@ def closed_form_constants() -> dict:
         "x": x,
         "w": w,
         "s": s,
-        "det_D": x * (x * x - 1.0),
-        "S_coeffs": ((1.0 - b) + 3.0 * b / (x + 1.0),
-                     3.0 * b / (x * (x + 1.0)),
-                     3.0 * b / (x * (x - 1.0))),
+        "det_D": det_D,
+        "S_coeffs": S_coeffs,
+        "T": np.array([-1.0, 0.0, 0.0, 11.0, 0.0, 0.0, -1.0]),
+        "D": _circulant([x, s, sc]),
+        "B": _circulant([x * x - 1.0 / 3.0, sc ** 2 - x * s, s ** 2 - x * sc]) / det_D,
+        "C": np.diag(S_coeffs[::-1]),
     }
+
+
+def _max_dev(got, want) -> float:
+    """Largest modulus of ``got - want``, entry by entry."""
+    return float(np.max(np.abs(np.subtract(got, want))))
+
+
+def _check(name: str, ok, detail: str) -> dict:
+    return {"name": name, "status": "PASS" if ok else "FAIL", "detail": detail}
 
 
 def reference_checks(rotation_turns=None, weights=None) -> dict:
     """Named pass/fail items for every displayed constant of the
     three-point construction; closed-form items are skipped when the
     weights deviate from unit."""
-    items = []
-
-    def item(name, ok, detail):
-        items.append({"name": name,
-                      "status": "PASS" if ok else "FAIL",
-                      "detail": detail})
-
-    def skip(name):
-        items.append({"name": name, "status": "NOT-APPLICABLE", "detail": ""})
-
-    ref = closed_form_constants()
-    b, x, w, s = ref["b"], ref["x"], ref["w"], ref["s"]
     unit_weights = weights is None or all(abs(c - 1.0) < 1e-15 for c in weights)
     wts = [1.0, 1.0, 1.0] if weights is None else list(weights)
-    spec = "0,1/3,2/3:" + ",".join(repr(c) for c in wts)
-    m = parse_measure(spec)
+    m = parse_measure("0,1/3,2/3:" + ",".join(repr(c) for c in wts))
+    phase = 1.0 + 0.0j
     if rotation_turns is not None:
         m = rotate_measure(m, Fraction(rotation_turns))
+        t = Fraction(rotation_turns) % 1  # exact, so a huge turn count still fits a float
+        phase = complex(np.cos(2 * np.pi * float(t)), np.sin(2 * np.pi * float(t)))
     policy = NumericPolicy()
     try:
         res = PipelineResult(m, policy)
@@ -276,93 +281,50 @@ def reference_checks(rotation_turns=None, weights=None) -> dict:
         res = PipelineResult(m, replace(policy, identity_tol=np.inf))
     fr, dd, hf = res.fr, res.dd, res.hf
 
-    phase = 1.0 + 0.0j
-    if rotation_turns is not None:
-        t = Fraction(rotation_turns) % 1  # exact, so a huge turn count still fits a float
-        phase = complex(np.cos(2 * np.pi * float(t)), np.sin(2 * np.pi * float(t)))
-
     if unit_weights:
-        trig = fejer.build_trig(m)
-        # rotation by phi multiplies t_m by conj(phase)^m
-        t0 = trig.coeff(0)
-        t3 = trig.coeff(3) * phase ** 3
-        tm3 = trig.coeff(-3) * np.conj(phase) ** 3
-        others = max(abs(trig.coeff(mm)) for mm in (-2, -1, 1, 2))
-        item("trig_coefficients",
-             abs(t0 - 11) < 1e-12 and abs(t3 + 1) < 1e-12
-             and abs(tm3 + 1) < 1e-12 and others < 1e-12,
-             f"t0={t0}, t3={t3}")
-        cubes = np.sort((fr.alphas * np.conj(phase)) ** 3)
-        item("alpha_cubed", bool(np.all(np.abs(cubes - b) < 1e-10 * b)),
-             f"alpha^3={cubes[0]}")
-        item("d_times_b", abs(fr.d * b - 1.0) < 1e-10, f"d*b={fr.d * b}")
-    else:
-        skip("trig_coefficients")
-        skip("alpha_cubed")
-        skip("d_times_b")
-
-    # |O'| at the atoms (unit for unit weights; still checked as pipeline value)
-    if unit_weights:
-        item("outer_derivative_modulus",
-             bool(np.all(np.abs(np.abs(dd.fprime_at_zeta) - 1.0) < 1e-10)),
-             f"|O'|={np.abs(dd.fprime_at_zeta)}")
-        diag_ok = bool(np.all(np.abs(np.diag(dd.D) - x) < 1e-10))
-        # off-diagonals are 1/(w-1) or 1/(w^2-1) in cyclic positions
-        offs = sorted(
-            (complex(dd.D[i, j]) for i in range(3) for j in range(3) if i != j),
-            key=lambda zz: zz.imag)
-        expected = sorted([s, s, s, np.conj(s), np.conj(s), np.conj(s)],
-                          key=lambda zz: zz.imag)
-        off_ok = all(abs(a1 - e1) < 1e-10 for a1, e1 in zip(offs, expected))
-        item("gram_entries", diag_ok and off_ok, f"diag={np.diag(dd.D)}")
-        detD = float(np.prod(np.linalg.eigvalsh(dd.D)))
-        item("gram_determinant", abs(detD - ref["det_D"]) < 1e-9 * abs(ref["det_D"]),
-             f"det={detD}")
-        denom = x * (x * x - 1.0)
-        Bdiag_ok = bool(np.all(np.abs(np.diag(dd.B) - (x * x - 1.0 / 3.0) / denom) < 1e-9))
-        offsB = sorted(
-            (complex(dd.B[i, j]) for i in range(3) for j in range(3) if i != j),
-            key=lambda zz: zz.imag)
-        expB = sorted([(np.conj(s) ** 2 - x * s) / denom] * 3
-                      + [(s ** 2 - x * np.conj(s)) / denom] * 3,
-                      key=lambda zz: zz.imag)
-        Boff_ok = all(abs(a1 - e1) < 1e-9 for a1, e1 in zip(offsB, expB))
-        item("inverse_gram", Bdiag_ok and Boff_ok, "")
+        ref = closed_form_constants()
+        b, x = ref["b"], ref["x"]
         c3, c2, c1 = ref["S_coeffs"]
-        C = hf.C
-        got = (C[2, 2].real, C[1, 1].real, C[0, 0].real)
-        diag_match = (abs(got[0] - c3) < 1e-8 * abs(c3)
-                      and abs(got[1] - c2) < 1e-8 * abs(c2)
-                      and abs(got[2] - c1) < 1e-8 * abs(c1))
-        offC = max(abs(C[i, j]) for i in range(3) for j in range(3) if i != j)
-        item("S_closed_form_coefficients", diag_match and offC < 1e-8 * abs(c1),
-             f"C_diag={got}")
-        item("cross_identity_x(x+1)", abs(x * (x + 1.0) - 3.0) < 1e-10, "")
-        item("cross_identity_x(x-1)",
-             abs(x * (x - 1.0) - (4.0 - np.sqrt(13.0))) < 1e-10, "")
+        trig = fejer.build_trig(m)
+        # rotation by phi multiplies t_m by conj(phase)^m and each alpha_j by
+        # phase; the atoms keep their cyclic order, so D, B and C do not change
+        T_ref = ref["T"] * np.conj(phase) ** np.arange(-3, 4)
+        cubes = (fr.alphas * np.conj(phase)) ** 3
+        O_mod = np.abs(dd.fprime_at_zeta)
+        detD = float(np.prod(np.linalg.eigvalsh(dd.D)))
         # the quadratic in Y = alpha^2 conj(w) does not vanish
-        alpha = ref["alpha"]
-        Y = alpha ** 2 * np.conj(w)
-        quad = c3 * Y ** 2 + c2 * Y + c1
-        item("offdiag_quadratic_nonroot", abs(Y * quad) > 1e-2, f"|S|={abs(Y * quad)}")
+        Y = ref["alpha"] ** 2 * np.conj(ref["w"])
+        S_Y = abs(Y * (c3 * Y ** 2 + c2 * Y + c1))
+        checks = [
+            (_max_dev(trig.t, T_ref) < 1e-12,
+             f"t0={trig.coeff(0)}, t3={trig.coeff(3) * phase ** 3}"),
+            (_max_dev(cubes, b) < 1e-10 * b, f"alpha^3={np.sort(cubes)[0]}"),
+            (abs(fr.d * b - 1.0) < 1e-10, f"d*b={fr.d * b}"),
+            (_max_dev(O_mod, 1.0) < 1e-10, f"|O'|={O_mod.tolist()}"),
+            (_max_dev(dd.D, ref["D"]) < 1e-10, f"diag={dd.D.diagonal().tolist()}"),
+            (abs(detD - ref["det_D"]) < 1e-9 * abs(ref["det_D"]), f"det={detD}"),
+            (_max_dev(dd.B, ref["B"]) < 1e-9, ""),
+            (_max_dev(hf.C, ref["C"]) < 1e-8 * min(ref["S_coeffs"]),
+             f"C_diag={tuple(hf.C.diagonal().real[::-1].tolist())}"),
+            (abs(x * (x + 1.0) - 3.0) < 1e-10, ""),
+            (abs(x * (x - 1.0) - (4.0 - np.sqrt(13.0))) < 1e-10, ""),
+            (S_Y > 1e-2, f"|S|={S_Y}"),
+        ]
+        items = [_check(name, ok, detail)
+                 for name, (ok, detail) in zip(CLOSED_FORM_ITEMS, checks)]
     else:
-        for nm in ("outer_derivative_modulus", "gram_entries", "gram_determinant",
-                   "inverse_gram", "S_closed_form_coefficients",
-                   "cross_identity_x(x+1)", "cross_identity_x(x-1)",
-                   "offdiag_quadratic_nonroot"):
-            skip(nm)
+        items = [{"name": name, "status": "NOT-APPLICABLE", "detail": ""}
+                 for name in CLOSED_FORM_ITEMS]
 
     # pipeline-level items, valid for any weights
-    item("factorization_identity", res.identity_residual <= policy.identity_tol,
-         f"residual={res.identity_residual}")
-    item("verdict_not_subnormal", res.verdict.decision == vd.NOT_SUBNORMAL,
-         res.verdict.decision)
-
-    passed = all(it["status"] != "FAIL" for it in items)
+    items.append(_check("factorization_identity", res.identity_residual <= policy.identity_tol,
+                        f"residual={res.identity_residual}"))
+    items.append(_check("verdict_not_subnormal", res.verdict.decision == vd.NOT_SUBNORMAL,
+                        res.verdict.decision))
     return {
         "schema": SCHEMA_VERSION,
         "measure": measure_json(m),
         "items": items,
-        "all_passed": passed,
+        "all_passed": all(it["status"] != "FAIL" for it in items),
         "policy": policy.to_dict(),
     }

@@ -3,10 +3,12 @@ import io
 import json
 import re
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from cdsp import fejer, report
 from cdsp.cli import SWEEP_COLUMNS, main, run_sweep
 from cdsp.errors import PolicyError
 from cdsp.policy import NumericPolicy
@@ -218,6 +220,26 @@ def test_unwritable_out_is_an_error_line(capsys, tmp_path, argv, target):
     assert err.count("\n") == 1
 
 
+_U = np.exp(1j * np.array([0.0, 1e-8, 0.0]))
+
+
+def _after_pipeline(change):
+    """A patch under which paper-check's pipeline result gets the attributes
+    that ``change(result)`` returns."""
+    def patch(monkeypatch):
+        class Perturbed(report.PipelineResult):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.__dict__.update(change(self))
+        monkeypatch.setattr(report, "PipelineResult", Perturbed)
+    return patch
+
+
+def _perturbed_trig(monkeypatch):
+    build = fejer.build_trig
+    monkeypatch.setattr(fejer, "build_trig", lambda m: replace(build(m), t=build(m).t + 1e-9))
+
+
 class TestPaperCheck:
     def test_default_all_pass(self, capsys):
         code, out, err = run(capsys, "paper-check")
@@ -229,9 +251,44 @@ class TestPaperCheck:
         assert err.count("PASS") == 13
 
     def test_rotation_invariant(self, capsys):
-        code, out, _ = run(capsys, "paper-check", "--rotate", "1/7")
-        assert code == 0
-        assert json.loads(out)["all_passed"] is True
+        for turns in ("1/7", "2/5", "-5/11", "1e400"):
+            code, out, _ = run(capsys, "paper-check", f"--rotate={turns}")
+            assert code == 0, turns
+            items = json.loads(out)["items"]
+            assert len(items) == 13
+            assert all(it["status"] == "PASS" for it in items), turns
+
+    @pytest.mark.parametrize("patch, failing", [
+        (_perturbed_trig, {"trig_coefficients"}),
+        (_after_pipeline(lambda res: {"fr": replace(res.fr, alphas=res.fr.alphas * (1 + 1e-9))}),
+         {"alpha_cubed"}),
+        (_after_pipeline(lambda res: {"fr": replace(res.fr, d=res.fr.d * (1 + 1e-9))}),
+         {"d_times_b"}),
+        (_after_pipeline(lambda res: {"dd": replace(
+            res.dd, fprime_at_zeta=res.dd.fprime_at_zeta * (1 + 1e-9))}),
+         {"outer_derivative_modulus"}),
+        # a unitary similarity: new off-diagonal phases, the same determinant
+        (_after_pipeline(lambda res: {"dd": replace(res.dd, D=res.dd.D * np.outer(_U, _U.conj()))}),
+         {"gram_entries"}),
+        (_after_pipeline(lambda res: {"dd": replace(res.dd, B=res.dd.B * (1 + 1e-8))}),
+         {"inverse_gram"}),
+        (_after_pipeline(lambda res: {"hf": replace(res.hf, C=res.hf.C + np.diag([0, 0, 1e-6]))}),
+         {"S_closed_form_coefficients"}),
+        # the conjugate Gram matrix and its inverse: the same entries, transposed
+        (_after_pipeline(lambda res: {"dd": replace(res.dd, D=res.dd.D.T, B=res.dd.B.T)}),
+         {"gram_entries", "inverse_gram"}),
+        (_after_pipeline(lambda res: {"identity_residual": 1e-6}), {"factorization_identity"}),
+        (_after_pipeline(lambda res: {"verdict": replace(res.verdict, decision="Inconclusive")}),
+         {"verdict_not_subnormal"}),
+    ], ids=["trig", "alpha", "d", "O-prime", "D", "B", "C", "D.T-B.T", "residual", "decision"])
+    def test_perturbed_object_fails_its_item(self, capsys, monkeypatch, patch, failing):
+        patch(monkeypatch)
+        code, out, _ = run(capsys, "paper-check")
+        assert code == 1
+        items = json.loads(out)["items"]
+        assert len(items) == 13
+        assert {it["name"] for it in items if it["status"] == "FAIL"} == failing
+        assert all(it["status"] == "PASS" for it in items if it["name"] not in failing)
 
     def test_non_unit_weights_skip_closed_forms(self, capsys):
         code, out, _ = run(capsys, "paper-check", "--weights", "1,2,0.5")

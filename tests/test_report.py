@@ -71,6 +71,8 @@ class TestWriter:
                 json.dumps(value, indent=2)
             with pytest.raises(TypeError):
                 report_to_json(value)
+            with pytest.raises(TypeError):
+                json.dumps(value, indent=2, default=report.complex_parts)
 
     def test_keys_must_be_str(self):
         with pytest.raises(TypeError):
@@ -189,3 +191,17 @@ def _random_spec(seed, k):
 def test_pipeline_report_is_json_dumps(spec, kwargs):
     rep = analyze(spec, **kwargs)
     assert report_to_json(rep) == json.dumps(rep, indent=2, default=re_im)
+
+
+class TestReferenceChecks:
+    def test_text_ignores_numpy_print_options(self):
+        want = report_to_json(report.reference_checks())
+        with np.printoptions(precision=3):
+            assert report_to_json(report.reference_checks()) == want
+
+    def test_closed_form_arrays(self):
+        ref = report.closed_form_constants()
+        assert np.abs(ref["B"] @ ref["D"] - np.eye(3)).max() < 1e-14
+        assert np.array_equal(ref["D"], ref["D"].conj().T)
+        assert ref["C"].diagonal().tolist() == list(ref["S_coeffs"][::-1])
+        assert ref["T"].tolist() == [-1, 0, 0, 11, 0, 0, -1]
