@@ -58,7 +58,8 @@ class DegenerateAtom(CdspError):
 
 
 class IllConditioned(CdspError):
-    """The coefficients of S do not refit S on the unit-circle grid (its samples are not Hermitian)."""
+    """A computed quantity is not trustworthy: the coefficients of S do not refit S on the
+    unit-circle grid, or a positivity probe's moment truncation is not finite."""
 
 
 class DegenerateAlphas(CdspError):

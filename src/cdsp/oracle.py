@@ -11,7 +11,8 @@ validate it against direct 2-D quadrature of the defining integral).
 The shift is a 2-isometry whose defect M_z^* M_z - I has rank k: on the
 model, H - Gm = sum_j c_j u_j u_j^H with u_j[i] = conj(zeta_j)^i, where
 Gm = G[:-1, :-1] and H = G[1:, 1:].  The Cauchy dual and its norm are
-read from that rank-k defect (see cauchy_dual_matrix and dual_norm).
+read from that rank-k defect (see dual_step, cauchy_dual_matrix and
+dual_norm).
 
 Vectors are coefficient columns.  norm_sq, apply_mz, orbit_norms and
 agler_forms also take a block whose columns are separate vectors, so the
@@ -21,7 +22,7 @@ random probes run all their trials as one matrix product per step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from math import comb
 from typing import Callable, List
 
@@ -38,10 +39,14 @@ class MonomialModel:
     G: np.ndarray  # G[i, j] = <z^j, z^i>, so ||v||^2 = v^H G v
     measure: Measure
 
+    def __post_init__(self):
+        if self.N < 4:
+            raise ValueError("model needs N >= 4")
+
     @cached_property
     def defect(self):
         """(U, c, H^{-1} U) for the rank-k defect H - Gm = U diag(c) U^H,
-        solved once per model for cauchy_dual_matrix and dual_norm."""
+        solved once per model for dual_step, cauchy_dual_matrix and dual_norm."""
         pts = np.array(self.measure.points, dtype=complex)
         wts = np.array(self.measure.weights, dtype=float)
         U = pts.conj()[None, :] ** np.arange(self.N - 1)[:, None]
@@ -52,8 +57,9 @@ class MonomialModel:
 
 
 def monomial_gram(m: Measure, N: int) -> MonomialModel:
-    if N < 4:
-        raise ValueError("model needs N >= 4")
+    """The model of size N.  Each entry of G depends only on (i, j), so the
+    leading n x n block of the size-N model's G is the size-n model's G,
+    bit for bit."""
     pts = np.array(m.points, dtype=complex)
     wts = np.array(m.weights, dtype=float)
     lags = np.arange(-(N - 1), N)
@@ -100,14 +106,20 @@ def orbit_norms(mm: MonomialModel, v: np.ndarray, n: int,
 def agler_forms(norms: List) -> List:
     """B_0, ..., B_n from norms[k] = ||T^k v||^2, each as the left-to-right
     sum  B_n = sum_k (-1)^k C(n, k) ||T^k v||^2 (elementwise for a block's
-    norm arrays)."""
-    forms = []
-    for n in range(len(norms)):
-        total = 0.0
-        for k in range(n + 1):
-            total += (-1) ** k * comb(n, k) * norms[k]
-        forms.append(total)
-    return forms
+    norm arrays).  One cumulative sum along k forms every B_n in that order,
+    so it gives the bits of a loop that adds the terms one by one."""
+    x = np.asarray(norms)
+    coef = _signed_binomials(len(norms))
+    terms = coef.reshape(coef.shape + (1,) * (x.ndim - 1)) * x  # [n, k, ...]
+    ks = np.arange(len(norms))
+    return list(np.cumsum(terms, axis=1)[ks, ks])
+
+
+@lru_cache(maxsize=8)
+def _signed_binomials(size: int) -> np.ndarray:
+    """coef[n, k] = (-1)^k C(n, k) for n, k < size (zero above k = n)."""
+    return np.array([[(-1) ** k * comb(n, k) for k in range(size)]
+                     for n in range(size)], dtype=float)
 
 
 def bn_form(mm: MonomialModel, n: int, v: np.ndarray) -> float:
@@ -131,9 +143,26 @@ def probe_block(rng: np.random.Generator, size: int, trials: int,
     return block
 
 
+def dual_step(mm: MonomialModel) -> Callable[[np.ndarray], np.ndarray]:
+    """T (T^*T)^{-1} as a step for orbit_norms: the product with
+    cauchy_dual_matrix(mm), applied to a vector or block w through the rank-k
+    defect with two (N - 1) x k products instead of one N x N product.
+    Like the matrix, it ignores w's top coefficient."""
+    U, c, HiU = mm.defect
+    cUh = c[:, None] * U.conj().T
+
+    def step(w: np.ndarray) -> np.ndarray:
+        out = np.empty(w.shape, dtype=complex)
+        out[0] = 0.0
+        np.subtract(w[:-1], HiU @ (cUh @ w[:-1]), out=out[1:])
+        return out
+
+    return step
+
+
 def cauchy_dual_matrix(mm: MonomialModel) -> np.ndarray:
     """Matrix of T (T^* T)^{-1} on the truncated model, with T^* the
-    G-adjoint of the shift.
+    G-adjoint of the shift; the dense reference for dual_step.
 
     The truncated shift annihilates the top basis vector, so T^*T is formed
     on the one-step-smaller domain where it is invertible; the final column
@@ -184,23 +213,23 @@ def bn_dual_probe(m: Measure, n_max: int, trials: int, N: int,
     The trials (``trials`` >= 1, orders 1..``n_max`` >= 1) run as one
     block; the witness (n, trial) is the first strict minimum in
     trial-major, then n, order, and None when no value is negative.
-    ``per_size[size]`` also carries the model and its dual matrix under
-    "model" and "dual", so a caller can reuse them instead of rebuilding."""
+    The Gram is built once, at 2N; the N model is its leading block.
+    ``per_size[size]`` also carries the model under "model", so a caller
+    can reuse it instead of rebuilding."""
     rng = np.random.default_rng(seed)
+    big = monomial_gram(m, 2 * N)
+    models = {N: MonomialModel(N, np.ascontiguousarray(big.G[:N, :N]), m), 2 * N: big}
     results = {}
-    for size in (N, 2 * N):
-        mm = monomial_gram(m, size)
-        Tp = cauchy_dual_matrix(mm)
+    for size, mm in models.items():
         block = probe_block(rng, size, trials, size // 2)
-        norms = orbit_norms(mm, block, n_max, lambda w: Tp @ w)
+        norms = orbit_norms(mm, block, n_max, dual_step(mm))
         values = np.stack(agler_forms(norms)[1:], axis=1) / norms[0][:, None]
         first = int(np.argmin(values))  # values[trial, n - 1], row-major
         worst, witness = 0.0, None
         if values.flat[first] < 0:
             trial, col = divmod(first, n_max)
             worst, witness = float(values.flat[first]), (col + 1, trial)
-        results[size] = {"most_negative": worst, "witness": witness,
-                         "model": mm, "dual": Tp}
+        results[size] = {"most_negative": worst, "witness": witness, "model": mm}
     a, b = results[N]["most_negative"], results[2 * N]["most_negative"]
     caution = abs(a - b) > 0.1 * max(abs(a), abs(b), 1e-12)
     return {"N": N, "per_size": results, "most_negative": b,

@@ -12,12 +12,13 @@ Two routes feed the verdict:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DegenerateAlphas
+from .errors import DegenerateAlphas, IllConditioned
 from .fejer import FejerRiesz
 from .policy import NumericPolicy
 
@@ -139,14 +140,22 @@ def psd_search(fr: FejerRiesz, S: np.ndarray, l_max: int, N: int,
     unless exhaustive."""
     factors = _moment_factors(fr, S, N)
     probes = []
-    for l in range(1, l_max + 1):
-        M = _truncation(factors, l)
-        eigs = np.linalg.eigvalsh(M)
-        tr = float(np.trace(M).real)
-        probe = PsdProbe(l, N, float(eigs[0]), tr)
-        probes.append(probe)
-        if probe.violates(psd_tol) and not exhaustive:
-            break
+    # gamma^l overflows at large l; that shows up as a non-finite min_eig or
+    # trace, or as eigvalsh failing, and ends in IllConditioned
+    with np.errstate(over="ignore", invalid="ignore"):
+        for l in range(1, l_max + 1):
+            M = _truncation(factors, l)
+            try:
+                min_eig = float(np.linalg.eigvalsh(M)[0])
+            except np.linalg.LinAlgError:  # it fails on non-finite entries
+                min_eig = math.nan
+            probe = PsdProbe(l, N, min_eig, float(np.trace(M).real))
+            if not (math.isfinite(probe.min_eig) and math.isfinite(probe.trace)):
+                raise IllConditioned(f"probe order l = {l}: moment truncation is not finite "
+                                     f"(min_eig {probe.min_eig}, trace {probe.trace})")
+            probes.append(probe)
+            if probe.violates(psd_tol) and not exhaustive:
+                break
     return probes
 
 
@@ -164,10 +173,13 @@ def decide(fr: FejerRiesz, S: np.ndarray,
         probes = psd_search(fr, S, policy.l_max, policy.N_trunc,
                             psd_tol=policy.psd_tol, exhaustive=exhaustive_psd)
     violation = any(p.violates(policy.psd_tol) for p in probes)
-    if (premises_ok and max_norm > policy.zero_reject) or violation:
+    if premises_ok and max_norm <= policy.zero_accept:
+        # the zero test proves subnormality; a violation then contradicts it
+        # (rounding in kappa_rt, r != t, grows like |gamma_rt|^l while the
+        # true diagonal decays like |gamma_rr|^l), so the routes disagree
+        decision = INCONCLUSIVE if violation else SUBNORMAL_NUMERIC
+    elif (premises_ok and max_norm > policy.zero_reject) or violation:
         decision = NOT_SUBNORMAL
-    elif premises_ok and max_norm <= policy.zero_accept:
-        decision = SUBNORMAL_NUMERIC
     else:
         decision = INCONCLUSIVE
     return Verdict(decision, evidence, probes, policy, float(max_norm), S)

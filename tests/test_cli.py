@@ -46,6 +46,32 @@ class TestAnalyze:
         assert code == 0
         assert json.loads(out)["verdict"]["decision"] == "SubnormalNumeric"
 
+    # equal-weight antipodal atoms: the zero test proves subnormality
+    # (max_offdiag_norm about 1e-15), while rounding that grows with l lets a
+    # probe violate; the two routes disagree, so neither decides
+    @pytest.mark.parametrize("argv", [("0,1/2:0.01,0.01",), ("0,1/2:0.003,0.003",),
+                                      ("0,1/2:0.001,0.001",),
+                                      ("0,1/2:1,1", "--lmax", "100"),
+                                      ("1/8,5/8:0.5,0.5", "--lmax", "64")])
+    def test_disagreeing_routes_are_inconclusive(self, capsys, argv):
+        code, out, _ = run(capsys, "analyze", "-m", *argv)
+        assert code == 0
+        rep = json.loads(out)
+        v, tol = rep["verdict"], rep["policy"]["psd_tol"]
+        assert v["max_offdiag_norm"] <= rep["policy"]["zero_accept"]
+        assert any(p["min_eig"] < -tol * abs(p["trace"]) for p in v["psd_probes"])
+        assert v["decision"] == "Inconclusive"
+
+    # gamma^l leaves the float range near l = 1187 and 6488
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [("0,1/2:0.01,0.01", "--lmax", "1500"),
+                                      ("0,1/3,2/3:1,1,1", "--lmax", "7000", "--ntrunc", "8")])
+    def test_overflowing_probe_is_ill_conditioned(self, capsys, argv):
+        code, out, err = run(capsys, "analyze", "-m", *argv, "--exhaustive-psd")
+        assert code == 2 and out == ""
+        assert re.fullmatch(r"error \[IllConditioned\]: probe order l = \d+: "
+                            r"moment truncation is not finite [^\n]*\n", err)
+
     def test_oracle_section(self, capsys):
         code, out, _ = run(capsys, "analyze", "-m", "0:1", "--oracle")
         rep = json.loads(out)

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from cdsp import (NumericPolicy, PipelineResult, build_dirichlet, debranges, extract_C,
                   factorize, parse_measure, rotate_measure)
 from cdsp.debranges import eval_S
-from cdsp.errors import CdspError, DegenerateAlphas
+from cdsp.errors import CdspError, DegenerateAlphas, IllConditioned
 from cdsp.fejer import FejerRiesz
 from cdsp.verdict import (INCONCLUSIVE, NOT_SUBNORMAL, SUBNORMAL_NUMERIC,
                           PairEvidence, PsdProbe, decide, moment_truncation, offdiag_sums,
@@ -75,9 +75,13 @@ def per_order_decide(fr, s_eval, policy, exhaustive):
     max_norm = float(max(norms) if norms else 0.0)
     premises_ok = all(ev.premise_ok for ev in evidence)
     violation = any(p.min_eig < -policy.psd_tol * max(abs(p.trace), 1e-300) for p in probes)
-    if (premises_ok and max_norm > policy.zero_reject) or violation:
+    zero_accepts = premises_ok and max_norm <= policy.zero_accept
+    zero_rejects = premises_ok and max_norm > policy.zero_reject
+    if zero_accepts and violation:  # the two routes disagree
+        decision = INCONCLUSIVE
+    elif zero_rejects or violation:
         decision = NOT_SUBNORMAL
-    elif premises_ok and max_norm <= policy.zero_accept:
+    elif zero_accepts:
         decision = SUBNORMAL_NUMERIC
     else:
         decision = INCONCLUSIVE
@@ -228,6 +232,16 @@ class TestMomentTruncation:
                             psd_tol=1e-10, exhaustive=True)
         assert [p.l for p in probes] == [1, 2, 3, 4, 5, 6]
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_order_is_ill_conditioned(self):
+        # |gamma_rt| = 1 + 1/|alpha|^2 at antipodal roots, so gamma^l leaves
+        # the float range near l = 1187, with no warning on the way
+        pipe = Pipe("0,1/2:0.01,0.01")
+        with pytest.raises(IllConditioned, match=r"probe order l = \d+: .* not finite"):
+            psd_search(pipe.fr, S_of(pipe), 1500, 4, psd_tol=1e-10, exhaustive=True)
+        probes = psd_search(pipe.fr, S_of(pipe), 1000, 4, psd_tol=1e-10, exhaustive=True)
+        assert len(probes) == 1000
+
 
 class TestDecide:
     def test_reference_decisions(self, pipes):
@@ -251,6 +265,20 @@ class TestDecide:
         fr = FejerRiesz(np.array([2.0 + 0j, 3.0 + 0j]), 1.0)
         v = decide(fr, np.eye(2, dtype=complex), run_psd=False)
         assert v.decision == INCONCLUSIVE
+
+    @pytest.mark.parametrize("exhaustive", [False, True])
+    def test_routes_disagreeing_is_inconclusive(self, exhaustive):
+        # equal-weight antipodal atoms are subnormal, and the zero test
+        # proves it; rounding in kappa_rt (r != t) grows like |gamma_rt|^l,
+        # so the l = 16 probe reads a violation, and the verdict is neither
+        pipe = Pipe("0,1/2:0.01,0.01")
+        policy = NumericPolicy()
+        v = decide(pipe.fr, S_of(pipe), policy, exhaustive_psd=exhaustive)
+        assert all(ev.premise_ok for ev in v.pair_evidence)
+        assert v.max_offdiag_norm <= policy.zero_accept
+        assert any(p.violates(policy.psd_tol) for p in v.psd_probes)
+        assert v.decision == INCONCLUSIVE
+        assert decide(pipe.fr, S_of(pipe), policy, run_psd=False).decision == SUBNORMAL_NUMERIC
 
     def test_rotation_invariance(self, three_point):
         m = rotate_measure(three_point.measure, Fraction(1, 7))
