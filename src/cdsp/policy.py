@@ -9,6 +9,7 @@ from .errors import PolicyError
 
 
 MAX_N = 1024
+MAX_L = 10_000
 
 
 @dataclass(frozen=True)
@@ -32,8 +33,10 @@ class NumericPolicy:
         if not self.zero_accept < self.zero_reject:
             raise PolicyError("zero_accept must be below zero_reject")
         # oracle_N >= 9: the oracle's probe vectors leave the top 8 coefficients free;
-        # N_trunc, oracle_N <= MAX_N keep the probe and oracle matrices to tens of MB
-        for name, low, high in (("l_max", 1, None), ("N_trunc", 1, MAX_N),
+        # N_trunc, oracle_N <= MAX_N keep the probe and oracle matrices to tens of MB;
+        # l_max <= MAX_L bounds the exhaustive probe loop, one N_trunc-sized
+        # eigenproblem per order, to a few seconds at the default N_trunc
+        for name, low, high in (("l_max", 1, MAX_L), ("N_trunc", 1, MAX_N),
                                 ("oracle_N", 9, MAX_N), ("seed", 0, None)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < low:

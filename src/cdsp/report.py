@@ -6,7 +6,10 @@ import json
 import time
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_str
+from operator import itemgetter
 from typing import Optional
 
 import numpy as np
@@ -129,9 +132,10 @@ def report_to_json(rep: dict) -> str:
     ``{"re": z.real, "im": z.imag}``.
 
     CPython 3.10/3.11 run the pure-Python encoder whenever ``indent`` is
-    set; this writer builds the same text from whole strings per container.
-    Dict keys must be ``str``; any other value json cannot encode raises
-    TypeError.
+    set; this writer builds the same text from whole strings per container,
+    and spells arrays of complex and runs of same-shaped records from cached
+    templates. Dict keys must be ``str``; any other value json cannot
+    encode raises TypeError.
     """
     return _json_value(rep, "")
 
@@ -170,6 +174,105 @@ def _json_member(x, pad: str, cplx: str) -> str:
     return _json_value(x, pad)
 
 
+@lru_cache(maxsize=64)
+def _complex_row_template(n: int, pad: str) -> str:
+    """Text of a list of ``n`` complex values at indent ``pad``, a ``%r``
+    slot for each real and imaginary part."""
+    inner = pad + "  "
+    return ("[\n" + inner + (",\n" + inner).join([_complex_template(inner)] * n)
+            + "\n" + pad + "]")
+
+
+def _all_finite(values) -> bool:
+    """Whether every float or complex in ``values`` is finite: a NaN or
+    infinite member makes their sum NaN or infinite (a sum that overflows
+    only sends the caller to the general path)."""
+    s = sum(values)
+    return s - s == 0.0
+
+
+def _complex_array(v, pad: str) -> Optional[str]:
+    """Text of a list of exact ``complex`` values with finite parts, or of a
+    rectangular list of such lists, from one row template; None for any
+    other list."""
+    grid = type(v[0]) is list
+    if grid:
+        n = len(v[0])
+        if not n or set(map(type, v)) != {list} or set(map(len, v)) != {n}:
+            return None
+        members = list(chain.from_iterable(v))
+    else:
+        members = v
+    if set(map(type, members)) != {complex} or not _all_finite(members):
+        return None
+    parts = np.array(v, dtype=complex).view(float).tolist()
+    if not grid:
+        return _complex_row_template(len(v), pad) % tuple(parts)
+    inner = pad + "  "
+    row = _complex_row_template(n, inner)
+    return ("[\n" + inner + (",\n" + inner).join([row % tuple(r) for r in parts])
+            + "\n" + pad + "]")
+
+
+# the value types a record template spells, and the slot of each (a complex
+# takes the two of _complex_template)
+_RECORD_SLOTS = {float: "%r", int: "%r", bool: "%s", str: "%s", type(None): "null",
+                 complex: None}
+
+
+@lru_cache(maxsize=64)
+def _record_template(keys: tuple, kinds: tuple, pad: str) -> str:
+    """Text of a dict with ``keys`` in this order, whose values have the
+    types ``kinds``, at indent ``pad``: a ``%r`` or ``%s`` slot per value
+    (two for a complex) and ``null`` for None."""
+    inner = pad + "  "
+    fields = [_json_str(key).replace("%", "%%") + ": "
+              + (_complex_template(inner) if kind is complex else _RECORD_SLOTS[kind])
+              for key, kind in zip(keys, kinds)]
+    return "{\n" + inner + (",\n" + inner).join(fields) + "\n" + pad + "}"
+
+
+def _record_run(v, pad: str) -> Optional[str]:
+    """Text of a list of flat dicts that share one key order and one exact
+    value type per key, from one record template; None for any other
+    list."""
+    if set(map(type, v)) != {dict}:
+        return None
+    key_orders = set(map(tuple, v))
+    if len(key_orders) != 1:
+        return None
+    keys = key_orders.pop()
+    if not keys:
+        return None
+    kinds, columns = [], []
+    # columns are lists, not the tuples of zip(*records): CPython 3.11 puts a
+    # freed 20-member tuple on a free list that tuple creation never draws
+    # from, so the 20-record runs of k = 5 would grow the process by up to
+    # 2000 such tuples (368 KB)
+    for key in keys:
+        col = list(map(itemgetter(key), v))
+        kind = set(map(type, col))
+        if len(kind) != 1:
+            return None
+        kind = kind.pop()
+        if (kind not in _RECORD_SLOTS
+                or (kind is float or kind is complex) and not _all_finite(col)):
+            return None
+        kinds.append(kind)
+        if kind is complex:
+            columns += [[z.real for z in col], [z.imag for z in col]]
+        elif kind is str:
+            columns.append(map(_json_str, col))
+        elif kind is bool:
+            columns.append(map(_SCALAR_WORDS[bool], col))
+        elif kind is not type(None):
+            columns.append(col)
+    inner = pad + "  "
+    record = _record_template(keys, tuple(kinds), inner)
+    rows = zip(*columns) if columns else [()] * len(v)
+    return "[\n" + inner + (",\n" + inner).join([record % r for r in rows]) + "\n" + pad + "]"
+
+
 def _json_value(v, pad: str) -> str:
     # finite floats (x - x == 0.0), the bulk of a report, are spelled in the
     # containers' comprehensions without a call per value
@@ -187,6 +290,13 @@ def _json_value(v, pad: str) -> str:
     if t is list or t is tuple:
         if not v:
             return "[]"
+        # arrays of complex and runs of same-shaped records are spelled from
+        # cached templates
+        head = type(v[0])
+        text = (_complex_array(v, pad) if head is complex or head is list
+                else _record_run(v, pad) if head is dict else None)
+        if text is not None:
+            return text
         inner = pad + "  "
         cplx = _complex_template(inner)
         return ("[\n" + inner + (",\n" + inner).join([

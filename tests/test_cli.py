@@ -157,7 +157,8 @@ class TestAnalyze:
                                           ({"psd_tol": "abc"}, "psd_tol"),
                                           ({"zero_accept": None}, "zero_accept"),
                                           ({"identity_tol": [1]}, "identity_tol"),
-                                          ({"l_max": True}, "l_max")])
+                                          ({"l_max": True}, "l_max"),
+                                          ({"l_max": 10001}, "l_max")])
     def test_bad_policy_file_names_key(self, capsys, tmp_path, doc, key):
         pol = tmp_path / "p.json"
         pol.write_text(json.dumps(doc))
@@ -171,6 +172,12 @@ class TestAnalyze:
                              "--ntrunc", "100000")
         assert code == 2 and out == ""
         assert "error [PolicyError]: N_trunc must be an integer <= 1024, got 100000" in err
+
+    def test_huge_probe_depth_is_a_policy_error(self, capsys):
+        # one eigenproblem per order: 10^8 orders would run for hours
+        code, out, err = run(capsys, "analyze", "-m", "0:1", "--lmax", "10001")
+        assert code == 2 and out == ""
+        assert err == "error [PolicyError]: l_max must be an integer <= 10000, got 10001\n"
 
     def test_identity_tolerance_is_enforced(self, capsys, tmp_path):
         pol = tmp_path / "p.json"
@@ -465,8 +472,12 @@ class TestPolicy:
             NumericPolicy.from_json(text)
 
     def test_largest_sizes_accepted(self):
-        pol = NumericPolicy(N_trunc=1024, oracle_N=1024)
-        assert (pol.N_trunc, pol.oracle_N) == (1024, 1024)
+        pol = NumericPolicy(l_max=10_000, N_trunc=1024, oracle_N=1024)
+        assert (pol.l_max, pol.N_trunc, pol.oracle_N) == (10_000, 1024, 1024)
+
+    def test_deepest_probe_order_is_capped(self):
+        with pytest.raises(PolicyError, match="l_max must be an integer <= 10000, got 10001"):
+            NumericPolicy(l_max=10_001)
 
     def test_round_trip(self):
         pol = NumericPolicy(l_max=3, N_trunc=16)

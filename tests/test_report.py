@@ -165,6 +165,156 @@ class TestComplexTemplate:
         assert report_to_json(value) == json.dumps(value, indent=2)
 
 
+# runs of same-shaped flat records and arrays of complex are spelled from
+# cached templates; one deviating member sends the whole list to the general
+# path, so each case below must still read as json.dumps reads it
+class Count(int):
+    def __repr__(self):
+        return "Count()"
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+finite_complex = st.builds(complex, finite, finite)
+RECORD_KINDS = {
+    "float": finite, "int": st.integers(), "bool": st.booleans(), "none": st.none(),
+    "str": st.text(max_size=4), "complex": finite_complex,
+}
+# values that differ from any template kind, or from the column they land in
+deviant_values = st.sampled_from([
+    True, False, 0, 1, Count(3), Half(0.5), float("nan"), float("inf"), float("-inf"),
+    np.float64(0.5), None, 'q"u\\o\te\n%s é', complex(float("nan"), 0.0),
+    complex(1.0, float("-inf")), np.complex128(1 - 2j), 1.5, [1.0], {"re": 1.0},
+])
+record_keys = st.sampled_from(["r", "t", "value", "re", "im", "%s", "%%r", 'q"', "é", ""])
+
+
+@st.composite
+def record_runs(draw):
+    """A list of flat dicts with one key order and one kind per key, and at
+    most one record that differs by key order, a missing key or one value."""
+    keys = draw(st.lists(record_keys | st.text(max_size=3), min_size=1, max_size=4,
+                         unique=True))
+    kinds = [draw(st.sampled_from(sorted(RECORD_KINDS))) for _ in keys]
+    run = [{key: draw(RECORD_KINDS[kind]) for key, kind in zip(keys, kinds)}
+           for _ in range(draw(st.integers(1, 5)))]
+    i = draw(st.integers(0, len(run) - 1))
+    key = draw(st.sampled_from(keys))
+    deviation = draw(st.sampled_from(["none", "order", "missing", "value"]))
+    if deviation == "order":
+        run[i] = dict(reversed(run[i].items()))
+    elif deviation == "missing":
+        del run[i][key]
+    elif deviation == "value":
+        run[i][key] = draw(deviant_values)
+    return run
+
+
+@st.composite
+def complex_arrays(draw):
+    """A list of exact finite complex values, or a list of such lists, with
+    at most one deviation: a ragged or empty row, or one member that is not
+    an exact finite complex."""
+    rows = draw(st.integers(0, 4))
+    n = draw(st.integers(0 if rows else 1, 4))
+    grid = [[draw(finite_complex) for _ in range(n)] for _ in range(max(rows, 1))]
+    deviation = draw(st.sampled_from(["none", "ragged", "empty-row", "member"]))
+    i = draw(st.integers(0, len(grid) - 1))
+    if deviation == "ragged":
+        grid[i].append(draw(finite_complex))
+    elif deviation == "empty-row":
+        grid[i] = []
+    elif deviation == "member" and grid[i]:
+        grid[i][draw(st.integers(0, len(grid[i]) - 1))] = draw(
+            deviant_values | st.builds(np.complex128, finite_complex))
+    return grid if rows else grid[0]
+
+
+nested_runs = st.recursive(
+    record_runs() | complex_arrays(),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(record_keys, inner, max_size=3)),
+    max_leaves=8)
+
+
+class TestTemplatePaths:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(record_runs())
+    def test_record_runs(self, value):
+        assert report_to_json(value) == json.dumps(value, indent=2, default=re_im)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(complex_arrays())
+    def test_complex_arrays(self, value):
+        assert report_to_json(value) == json.dumps(value, indent=2, default=re_im)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(nested_runs)
+    def test_nested(self, value):
+        assert report_to_json(value) == json.dumps(value, indent=2, default=re_im)
+
+    @pytest.mark.parametrize("second", [
+        {"r": 1, "v": 0.5, "ok": True},
+        {"v": 0.5, "r": 1, "ok": True},
+        {"r": True, "v": 0.5, "ok": True},
+        {"r": 1, "v": 0.5, "ok": 1},
+        {"r": Count(1), "v": 0.5, "ok": True},
+        {"r": 1, "v": Half(0.5), "ok": True},
+        {"r": 1, "v": float("nan"), "ok": True},
+        {"r": 1, "v": float("-inf"), "ok": True},
+        {"r": 1, "v": np.float64(0.5), "ok": True},
+        {"r": 1, "v": None, "ok": True},
+        {"r": 1, "v": 'q"\\\n\t%s', "ok": True},
+        {"r": 1, "v": 0.5},
+        {"r": 1, "v": 0.5, "ok": True, "x": None},
+        {"r": 1, "v": [0.5], "ok": True},
+        OrderedDict(r=1, v=0.5, ok=True),
+    ], ids=["same", "key-order", "bool-for-int", "int-for-bool", "int-subclass",
+            "float-subclass", "nan", "-inf", "np-float64", "none", "escaped-str",
+            "missing-key", "extra-key", "nested-list", "dict-subclass"])
+    def test_record_run_with_one_deviating_record(self, second):
+        for value in ([{"r": 0, "v": -0.0, "ok": False}, second],
+                      [second, {"r": 0, "v": 1e-300, "ok": False}]):
+            assert report_to_json(value) == json.dumps(value, indent=2, default=re_im)
+
+    @pytest.mark.parametrize("value", [
+        [{"%s": 1.0, 'a"\\b': "%r", "n": None, "z": 1 - 2j}] * 3,
+        [{"n": None}, {"n": None}],
+        [{"b": True}, {"b": False}],
+        [{}, {}],
+        [{"z": complex(0.0, float("nan"))}, {"z": 1j}],
+        [{"x": 1e308}, {"x": 1e308}],
+    ], ids=["escaped-keys", "all-none", "bools", "empty-records", "complex-nan",
+            "sum-overflows"])
+    def test_record_run_edges(self, value):
+        assert report_to_json(value) == json.dumps(value, indent=2, default=re_im)
+
+    def test_record_keys_must_be_str(self):
+        with pytest.raises(TypeError):
+            report_to_json([{1: 2.0}, {1: 3.0}])
+
+    @pytest.mark.parametrize("value", [
+        [[1 + 2j, -0.0 - 0.0j], [3j, 4.0 + 0j]],
+        [[1 + 2j, 3j], [4 + 0j]],
+        [[1 + 2j], []],
+        [[], []],
+        [[1 + 2j, complex(float("nan"), 0.0)], [3j, 4j]],
+        [[1 + 2j, complex(0.0, float("inf"))], [3j, 4j]],
+        [[1 + 2j, np.complex128(2j)], [3j, 4j]],
+        [[1 + 2j, 0.5], [3j, 4j]],
+        [[1 + 2j, 3j], (4j, 5j)],
+        [[1e308 + 0j, 1e308 + 0j]],
+        [1 + 2j, [3j]],
+        [1 + 2j, complex(float("-inf"), 1.0), 3j],
+        (1 + 2j, 3j),
+    ], ids=["rectangular", "ragged", "one-empty-row", "empty-rows", "nan-part",
+            "inf-part", "np-complex128", "float-member", "tuple-row", "sum-overflows",
+            "mixed-depth", "vector-inf", "tuple-vector"])
+    def test_complex_grid_edges(self, value):
+        for wrapped in (value, [value], {"D": value, "B": [value, value]}):
+            assert report_to_json(wrapped) == json.dumps(wrapped, indent=2, default=re_im)
+
+
 def _equi(k):
     return ",".join(f"{i}/{k}" for i in range(k)) + ":" + ",".join(["1"] * k)
 
@@ -186,8 +336,11 @@ def _random_spec(seed, k):
     ("0,1/2:1,1", {}),
     (_equi(8), {}),
     (_equi(16), {}),
+    (_equi(32), {}),
     (_random_spec(7, 7), {}),
-], ids=["ref3-oracle-exhaustive", "antipodal", "equi8", "equi16", "random7"])
+    (_random_spec(11, 8), {}),
+], ids=["ref3-oracle-exhaustive", "antipodal", "equi8", "equi16", "equi32", "random7",
+        "random8"])
 def test_pipeline_report_is_json_dumps(spec, kwargs):
     rep = analyze(spec, **kwargs)
     assert report_to_json(rep) == json.dumps(rep, indent=2, default=re_im)
