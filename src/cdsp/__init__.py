@@ -1,7 +1,7 @@
 """Numerical toolkit for the Cauchy dual subnormality question on weighted
 Dirichlet spaces with finitely supported circle measures."""
 
-from .measure import CirclePoint, Measure, parse_measure, rotate_measure
+from .measure import Measure, parse_measure, rotate_measure
 from .policy import NumericPolicy
 from .fejer import TrigPoly, FejerRiesz, build_trig, factorize, verify_identity
 from .dirichlet import (DirichletData, OuterData, build_dirichlet, build_outer,
@@ -9,12 +9,11 @@ from .dirichlet import (DirichletData, OuterData, build_dirichlet, build_outer,
 from .debranges import (HermForm, eval_S, eval_schur, extract_C, factor_P,
                         kernel_KB)
 from .verdict import (PairEvidence, PsdProbe, Verdict, decide,
-                      moment_truncation, offdiag_sums, pair_premises,
-                      psd_search)
+                      moment_truncation, offdiag_sums, psd_search)
 from .report import PipelineResult, analyze, reference_checks
 
 __all__ = [
-    "CirclePoint", "Measure", "parse_measure", "rotate_measure",
+    "Measure", "parse_measure", "rotate_measure",
     "NumericPolicy",
     "TrigPoly", "FejerRiesz", "build_trig", "factorize", "verify_identity",
     "DirichletData", "OuterData", "build_dirichlet", "build_outer",
@@ -22,7 +21,7 @@ __all__ = [
     "HermForm", "eval_S", "eval_schur", "extract_C", "factor_P",
     "kernel_KB",
     "PairEvidence", "PsdProbe", "Verdict", "decide", "moment_truncation",
-    "offdiag_sums", "pair_premises", "psd_search",
+    "offdiag_sums", "psd_search",
     "PipelineResult", "analyze", "reference_checks",
 ]
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from . import debranges, dirichlet
 from .errors import CdspError, ParseError, PolicyError
-from .measure import parse_measure
+from .measure import parse_measure, parse_turns
 from .policy import NumericPolicy
 from .report import (PipelineResult, analyze, reference_checks,
                      report_to_json)
@@ -147,7 +147,7 @@ def _parse_turns(text: str) -> Fraction:
     """argparse type for a rotation in turns written as a rational number
     ('1/7', '0.25', '1e-3')."""
     try:
-        return Fraction(text)
+        return parse_turns(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(
             f"expected a rational number of turns, got {text!r}") from None

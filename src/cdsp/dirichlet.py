@@ -58,7 +58,7 @@ class DirichletData:
 def build_outer(m: Measure, fr: FejerRiesz) -> OuterData:
     """O(0) = c prod zeta_j / prod alpha_j = c d (``fejer.factorize``), so
     c = 1/sqrt(d) makes the outer function positive at the origin."""
-    return OuterData(np.array(m.points, dtype=complex), fr.alphas, 1.0 / np.sqrt(fr.d))
+    return OuterData(m.points, fr.alphas, 1.0 / np.sqrt(fr.d))
 
 
 def build_dirichlet(m: Measure, fr: FejerRiesz) -> DirichletData:
@@ -74,7 +74,7 @@ def build_dirichlet(m: Measure, fr: FejerRiesz) -> DirichletData:
     fp = inv.sum(axis=1) - np.sum(1.0 / (pts[:, None] - outer.alphas[None, :]), axis=1)
     off = np.outer(fprime, np.conj(fprime)) * (1.0 - np.outer(pts, np.conj(pts)))
     D = (1.0 / np.where(np.eye(k, dtype=bool), np.inf, off)
-         + np.diag(np.array(m.weights) * pts * fp))
+         + np.diag(m.weights * pts * fp))
     asym = float(np.max(np.abs(D - D.conj().T)))
     D = 0.5 * (D + D.conj().T)
     B = nx.solve_linear(D, np.eye(k, dtype=complex))

@@ -75,16 +75,16 @@ def trig_values(m: Measure, z) -> np.ndarray:
     """T at points z on the circle, summed in product form; every term is
     nonnegative and the omit-one products keep T finite at the atoms."""
     z = np.asarray(z, dtype=complex)
-    sq = np.abs(z[..., None] - np.asarray(m.points)) ** 2
-    return np.prod(sq, axis=-1) + omit_one(sq) @ np.asarray(m.weights)
+    sq = np.abs(z[..., None] - m.points) ** 2
+    return np.prod(sq, axis=-1) + omit_one(sq) @ m.weights
 
 
 def factorize(m: Measure) -> FejerRiesz:
     """Split the 2k roots of z^k T(z) into reflection pairs and return the
     exterior half together with the positive constant d."""
     k = m.k
-    zetas = np.asarray(m.points, dtype=complex)
-    w = np.asarray(m.weights) * zetas
+    zetas = m.points
+    w = m.weights * zetas
     A = np.diag(np.repeat(zetas, 2)) + np.diag(np.tile([1.0, 0.0], k)[:-1], 1)
     A[:, ::2] += np.column_stack([w, w * zetas]).reshape(-1, 1)  # + b e^T
     roots = np.linalg.eigvals(A)

@@ -1,8 +1,10 @@
 """Finitely supported positive measures on the unit circle.
 
-Atoms carry an optional exact rational angle (in turns) so that roots of
-unity stay exact under rotation: cancellations like 1 + w + w^2 = 0 must
-hold to machine precision downstream.
+A measure mu = sum_j c_j delta_{zeta_j} is held as two read-only arrays,
+the atoms zeta and the weights c, plus each atom's exact angle in turns
+when it has one, so that roots of unity stay exact under rotation:
+cancellations like 1 + w + w^2 = 0 must hold to machine precision
+downstream.
 """
 
 from __future__ import annotations
@@ -14,9 +16,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
 from .errors import ParseError, ValidationError
 
 MIN_CHORDAL_DISTANCE = 1e-9
+
+# Fraction builds 10**exponent for a decimal exponent.  Past this one no
+# nonzero value has a numerator and denominator that str() writes (4300
+# digits each by default), so such a value is refused before the power is built.
+MAX_TURNS_EXPONENT = 10_000
 
 
 # exact values for the common roots of unity used throughout, keyed by
@@ -40,70 +49,71 @@ def _unit_from_turns(t: Fraction) -> complex:
     return complex(math.cos(ang), math.sin(ang))
 
 
-@dataclass(frozen=True)
-class CirclePoint:
-    value: complex
-    exact_turns: Optional[Fraction] = None
-
-    def __post_init__(self):
-        if not (math.isfinite(self.value.real) and math.isfinite(self.value.imag)):
-            raise ValidationError("non-finite circle point")
-        if abs(abs(self.value) - 1.0) > 1e-12:
-            raise ValidationError(f"point {self.value} is off the unit circle")
-        if self.exact_turns is not None:
-            if abs(self.value - _unit_from_turns(self.exact_turns)) > 1e-15 * 4:
-                raise ValidationError("value inconsistent with exact_turns")
-
-    @classmethod
-    def from_turns(cls, t) -> "CirclePoint":
-        # the value is derived from t here, so __post_init__'s check against
-        # t (which would derive it a second time) is skipped: a unit from
-        # _unit_from_turns is finite and on the circle by construction
-        t = Fraction(t)
-        pt = object.__new__(cls)
-        object.__setattr__(pt, "value", _unit_from_turns(t))
-        object.__setattr__(pt, "exact_turns", t)
-        return pt
-
-    @classmethod
-    def from_angle(cls, radians: float) -> "CirclePoint":
-        return cls(cmath.exp(1j * radians), None)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Measure:
-    atoms: tuple  # of (CirclePoint, float)
-
-    def __post_init__(self):
-        if len(self.atoms) < 1:
-            raise ValidationError("measure needs at least one atom")
-        for pt, wt in self.atoms:
-            if not math.isfinite(wt):
-                raise ValidationError(f"non-finite weight {wt}")
-            if not (wt > 0):
-                raise ValidationError(f"nonpositive weight {wt}")
-        pts = [pt.value for pt, _ in self.atoms]
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if abs(pts[i] - pts[j]) <= MIN_CHORDAL_DISTANCE:
-                    raise ValidationError(f"atoms {i} and {j} coincide")
+    """The atoms ``points`` (complex) and their ``weights`` (float) as
+    read-only 1-D arrays, and ``turns``: per atom its exact angle in turns,
+    or None for an atom given by an angle or a point.  Built by
+    ``parse_measure`` and ``rotate_measure``, which validate it."""
+    points: np.ndarray
+    weights: np.ndarray
+    turns: tuple[Optional[Fraction], ...]
 
     @property
     def k(self) -> int:
-        return len(self.atoms)
+        return len(self.points)
 
-    @property
-    def points(self):
-        return [pt.value for pt, _ in self.atoms]
 
-    @property
-    def weights(self):
-        return [wt for _, wt in self.atoms]
+def _measure(points: list, weights: list, turns: list) -> Measure:
+    """The measure of parsed atoms after its checks, in this order: each
+    weight finite, then positive, atom by atom; the first coincident pair
+    i < j; each exact turns value one that str(), which the report spells
+    it with, can write.  Plain loops: at k = 3 a numpy call per check would
+    cost several times as much."""
+    if not points:
+        raise ValidationError("measure needs at least one atom")
+    for wt in weights:
+        if not math.isfinite(wt):
+            raise ValidationError(f"non-finite weight {wt}")
+        if not (wt > 0):
+            raise ValidationError(f"nonpositive weight {wt}")
+    for i, p in enumerate(points):
+        for j in range(i + 1, len(points)):
+            if abs(p - points[j]) <= MIN_CHORDAL_DISTANCE:
+                raise ValidationError(f"atoms {i} and {j} coincide")
+    for j, t in enumerate(turns):
+        try:
+            str(t)
+        except ValueError as exc:
+            raise ParseError(f"turns value of atom {j} has too many digits to write back") from exc
+    pts = np.array(points, dtype=complex)
+    wts = np.array(weights, dtype=float)
+    pts.flags.writeable = wts.flags.writeable = False
+    return Measure(pts, wts, tuple(turns))
+
+
+def _on_circle(value: complex) -> complex:
+    """An atom given by an angle or a point, checked to lie on the circle."""
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise ValidationError("non-finite circle point")
+    if abs(abs(value) - 1.0) > 1e-12:
+        raise ValidationError(f"point {value} is off the unit circle")
+    return value
+
+
+def parse_turns(text: str) -> Fraction:
+    """A number of turns as ``Fraction`` reads it ('1/7', '0.25', '1e-3').  A
+    malformed value, or a decimal exponent beyond MAX_TURNS_EXPONENT, raises
+    ValueError or ZeroDivisionError, which each caller words."""
+    _, e, exponent = text.lower().rpartition("e")
+    if e and abs(int(exponent)) > MAX_TURNS_EXPONENT:
+        raise ValueError(f"decimal exponent beyond {MAX_TURNS_EXPONENT}")
+    return Fraction(text)
 
 
 def _parse_turn(tok: str) -> Fraction:
     try:
-        return Fraction(tok.strip())
+        return parse_turns(tok.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad turns value {tok!r}") from exc
 
@@ -124,8 +134,7 @@ def parse_measure(spec: str) -> Measure:
         raise ParseError("bad weight") from exc
     if len(turns) != len(weights) or not turns:
         raise ParseError("turns and weights must have equal nonzero length")
-    atoms = tuple((CirclePoint.from_turns(t), w) for t, w in zip(turns, weights))
-    return Measure(atoms)
+    return _measure([_unit_from_turns(t) for t in turns], weights, turns)
 
 
 def _number(value, what: str) -> float:
@@ -145,38 +154,43 @@ def _parse_json(text: str) -> Measure:
         raise ParseError(str(exc)) from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("atoms"), list):
         raise ParseError("JSON measure document needs an 'atoms' list")
-    atoms = []
+    points, weights, turns = [], [], []
     for entry in doc["atoms"]:
         if not isinstance(entry, dict):
             raise ParseError(f"atom must be a JSON object, got {entry!r}")
         if "weight" not in entry:
             raise ParseError("atom without weight")
-        wt = _number(entry["weight"], "weight")
+        weights.append(_number(entry["weight"], "weight"))
+        t = None
         if "turns" in entry:
-            pt = CirclePoint.from_turns(_parse_turn(str(entry["turns"])))
+            t = _parse_turn(str(entry["turns"]))
+            pt = _unit_from_turns(t)
         elif "angle" in entry:
-            pt = CirclePoint.from_angle(_number(entry["angle"], "angle"))
+            pt = _on_circle(cmath.exp(1j * _number(entry["angle"], "angle")))
         elif "point" in entry:
             pc = entry["point"]
             if not isinstance(pc, dict) or not {"re", "im"} <= pc.keys():
                 raise ParseError("point needs 're' and 'im'")
-            pt = CirclePoint(complex(_number(pc["re"], "point re"),
-                                     _number(pc["im"], "point im")))
+            pt = _on_circle(complex(_number(pc["re"], "point re"),
+                                    _number(pc["im"], "point im")))
         else:
             raise ParseError("atom needs one of turns / angle / point")
-        atoms.append((pt, wt))
-    return Measure(tuple(atoms))
+        points.append(pt)
+        turns.append(t)
+    return _measure(points, weights, turns)
 
 
 def rotate_measure(m: Measure, phase_turns) -> Measure:
     """Multiply every atom by exp(2*pi*i*phase); weights unchanged.  Exact
     angles stay exact when the phase is rational."""
     phase_turns = Fraction(phase_turns)
-    atoms = []
-    for pt, wt in m.atoms:
-        if pt.exact_turns is not None:
-            new = CirclePoint.from_turns(pt.exact_turns + phase_turns)
+    points, turns = [], []
+    for pt, t in zip(m.points.tolist(), m.turns):
+        if t is None:
+            pt = _on_circle(pt * _unit_from_turns(phase_turns))
         else:
-            new = CirclePoint(pt.value * _unit_from_turns(phase_turns))
-        atoms.append((new, wt))
-    return Measure(tuple(atoms))
+            t += phase_turns
+            pt = _unit_from_turns(t)
+        points.append(pt)
+        turns.append(t)
+    return _measure(points, m.weights.tolist(), turns)

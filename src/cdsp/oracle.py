@@ -47,11 +47,9 @@ class MonomialModel:
     def defect(self):
         """(U, c, H^{-1} U) for the rank-k defect H - Gm = U diag(c) U^H,
         solved once per model for dual_step, cauchy_dual_matrix and dual_norm."""
-        pts = np.array(self.measure.points, dtype=complex)
-        wts = np.array(self.measure.weights, dtype=float)
-        U = pts.conj()[None, :] ** np.arange(self.N - 1)[:, None]
+        U = self.measure.points.conj()[None, :] ** np.arange(self.N - 1)[:, None]
         try:
-            return U, wts, np.linalg.solve(self.G[1:, 1:], U)
+            return U, self.measure.weights, np.linalg.solve(self.G[1:, 1:], U)
         except np.linalg.LinAlgError as exc:
             raise Singular("T^*T not invertible on the model") from exc
 
@@ -60,10 +58,8 @@ def monomial_gram(m: Measure, N: int) -> MonomialModel:
     """The model of size N.  Each entry of G depends only on (i, j), so the
     leading n x n block of the size-N model's G is the size-n model's G,
     bit for bit."""
-    pts = np.array(m.points, dtype=complex)
-    wts = np.array(m.weights, dtype=float)
     lags = np.arange(-(N - 1), N)
-    symbol = np.sum(wts[:, None] * pts[:, None] ** lags, axis=0)  # s[l] at lags + N - 1
+    symbol = np.sum(m.weights[:, None] * m.points[:, None] ** lags, axis=0)  # s[l] at lags + N - 1
     # int32 halves the N x N temporary min(i, j): at 2N = 128 an int64 one is
     # large enough to be served from fresh memory pages on each call
     idx = np.arange(N, dtype=np.int32)

@@ -22,14 +22,11 @@ from .policy import NumericPolicy
 SCHEMA_VERSION = 1
 
 
-def _atom_json(pt, wt):
-    if pt.exact_turns is not None:
-        return {"turns": str(pt.exact_turns), "weight": wt}
-    return {"angle": float(np.angle(pt.value)), "weight": wt}
-
-
 def measure_json(m: Measure) -> dict:
-    return {"atoms": [_atom_json(pt, wt) for pt, wt in m.atoms]}
+    return {"atoms": [
+        {"turns": str(t), "weight": wt} if t is not None
+        else {"angle": float(np.angle(pt)), "weight": wt}
+        for pt, wt, t in zip(m.points.tolist(), m.weights.tolist(), m.turns)]}
 
 
 class PipelineResult:

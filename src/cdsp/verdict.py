@@ -32,8 +32,8 @@ class PairEvidence(NamedTuple):
     t: int
     product: complex
     premise_ok: bool
-    S_rt: complex = 0.0
-    S_scale: float = 1.0
+    S_rt: complex
+    S_scale: float
 
 
 @dataclass(frozen=True)
@@ -59,10 +59,11 @@ class Verdict:
     S: np.ndarray = field(compare=False, repr=False)
 
 
-def _pair_columns(fr: FejerRiesz):
-    """Row-major (r, t) pairs with r != t: the mask selecting them from a
-    k x k array and their r, t, alpha_r conj(alpha_t) and premise flag as
-    lists; premise_ok iff the product stays off the ray [1, inf)."""
+def offdiag_sums(fr: FejerRiesz, S: np.ndarray) -> List[PairEvidence]:
+    """Evidence at the row-major pairs (r, t), r != t: the product alpha_r
+    conj(alpha_t), premise_ok iff it stays off the ray [1, inf), and the
+    root value S[r, t] = S(alpha_r, alpha_t) with its scale
+    sqrt(S[r, r] S[t, t])."""
     alphas = fr.alphas
     k = len(alphas)
     offdiag = ~np.eye(k, dtype=bool)
@@ -75,22 +76,10 @@ def _pair_columns(fr: FejerRiesz):
     prod.imag = a.real * b.imag + a.imag * b.real
     prod = prod[offdiag]
     on_ray = (np.abs(prod.imag) <= 1e-10) & (prod.real >= 1.0 - 1e-10)
-    return offdiag, r.tolist(), t.tolist(), prod.tolist(), (~on_ray).tolist()
-
-
-def pair_premises(fr: FejerRiesz) -> List[PairEvidence]:
-    """premise_ok iff alpha_r conj(alpha_t) stays off the ray [1, inf)."""
-    _, *columns = _pair_columns(fr)
-    return list(map(PairEvidence, *columns))
-
-
-def offdiag_sums(fr: FejerRiesz, S: np.ndarray) -> List[PairEvidence]:
-    """Attach the root values S[r, t] = S(alpha_r, alpha_t) to the premise
-    evidence, scaled by sqrt(S[r, r] S[t, t])."""
-    offdiag, *columns = _pair_columns(fr)
     diag = np.maximum(S.diagonal().real, 1e-300)
     scale = np.sqrt(diag[:, None] * diag[None, :])[offdiag]
-    return list(map(PairEvidence, *columns, S[offdiag].tolist(), scale.tolist()))
+    return list(map(PairEvidence, r.tolist(), t.tolist(), prod.tolist(), (~on_ray).tolist(),
+                    S[offdiag].tolist(), scale.tolist()))
 
 
 def offdiag_norms(evidence: List[PairEvidence]) -> List[float]:

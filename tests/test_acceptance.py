@@ -208,7 +208,9 @@ def test_criterion_8_symmetry_suite():
             assert v.decision == v0.decision
             assert abs(v.max_offdiag_norm - v0.max_offdiag_norm) <= 1e-8
         for perm in ((1, 2, 0), (2, 0, 1), (0, 2, 1)):
-            m = Measure(tuple(m_base.atoms[i] for i in perm))
+            idx = np.array(perm)
+            m = Measure(m_base.points[idx], m_base.weights[idx],
+                        tuple(m_base.turns[i] for i in perm))
             _, fr, dd = pipeline(m)
             v = decide(fr, eval_S(dd, fr.alphas, fr.alphas), NumericPolicy())
             assert v.decision == v0.decision

@@ -122,6 +122,11 @@ class TestAnalyze:
         assert code == 2 and out == ""
         assert "error [ValidationError]: non-finite weight inf" in err
 
+    def test_large_turns_analyze(self, capsys):
+        code, out, _ = run(capsys, "analyze", "-m", "1e4000,1/2:1,1")
+        assert code == 0
+        assert json.loads(out)["measure"]["atoms"][0]["turns"] == str(10 ** 4000)
+
     @pytest.mark.parametrize("flag", ["--lmax", "--ntrunc"])
     @pytest.mark.parametrize("value", ["0", "-3", "x"])
     def test_probe_sizes_must_be_positive(self, capsys, flag, value):
@@ -361,12 +366,24 @@ class TestPaperCheck:
         err = usage_error(capsys, "paper-check", f"--rotate={turns}")
         assert f"argument --rotate: expected a rational number of turns, got '{turns}'" in err
 
-    @pytest.mark.parametrize("turns", ["1e400", "100000000000000000000001/7"])
+    @pytest.mark.parametrize("turns", ["1e400", "1e4000", "100000000000000000000001/7"])
     def test_rotation_by_many_turns(self, capsys, turns):
         # the phase is taken modulo one turn, exactly, before it becomes a float
         code, out, _ = run(capsys, "paper-check", "--rotate", turns)
         assert code == 0
         assert json.loads(out)["all_passed"] is True
+
+    @pytest.mark.parametrize("argv", [("analyze", "-m", "1e5000:1"),
+                                      ("analyze", "-m", "1e-5000:1"),
+                                      ("paper-check", "--rotate", "1e5000"),
+                                      ("paper-check", "--rotate", "1e-5000")])
+    def test_oversize_turns_is_one_error_line(self, capsys, argv):
+        # str() cannot write a numerator or denominator of over 4300 digits,
+        # so the report could not spell these turns
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert re.fullmatch(r"error \[ParseError\]: turns value of atom \d has too many "
+                            r"digits to write back\n", err)
 
     @pytest.mark.parametrize("argv", [("--policy", "@p.json"), ("--seed", "7"),
                                       ("--lmax", "1"), ("--ntrunc", "8")])

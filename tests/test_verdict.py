@@ -11,7 +11,7 @@ from cdsp.errors import CdspError, DegenerateAlphas, IllConditioned
 from cdsp.fejer import FejerRiesz
 from cdsp.verdict import (INCONCLUSIVE, NOT_SUBNORMAL, SUBNORMAL_NUMERIC,
                           PairEvidence, PsdProbe, decide, moment_truncation, offdiag_sums,
-                          pair_premises, psd_search)
+                          psd_search)
 from cdsp.verdict import _diff_products
 from conftest import Pipe, S_at, equi_spaced, random_measures
 
@@ -59,7 +59,7 @@ def per_order_decide(fr, s_eval, policy, exhaustive):
     k = len(fr.alphas)
     diag = np.array([s_eval(fr.alphas[r], fr.alphas[r]).real for r in range(k)])
     evidence = []
-    for ev in pair_premises(fr):
+    for ev in premise_evidence(fr):
         s_rt = complex(s_eval(fr.alphas[ev.r], fr.alphas[ev.t]))
         scale = float(np.sqrt(max(diag[ev.r], 1e-300) * max(diag[ev.t], 1e-300)))
         evidence.append(PairEvidence(ev.r, ev.t, ev.product, ev.premise_ok, s_rt, scale))
@@ -95,6 +95,13 @@ def scalar_root_values(fr, s_eval):
                      for r in range(k)], dtype=complex)
 
 
+def premise_evidence(fr):
+    """offdiag_sums' r, t, alpha_r conj(alpha_t) and premise_ok, which do
+    not depend on the root values it is given."""
+    k = len(fr.alphas)
+    return offdiag_sums(fr, np.zeros((k, k), dtype=complex))
+
+
 def premises(evidence):
     return [(ev.r, ev.t, ev.product, ev.premise_ok) for ev in evidence]
 
@@ -102,21 +109,21 @@ def premises(evidence):
 class TestPremises:
     def test_reference_cases_all_hold(self, pipes):
         for pipe in pipes.values():
-            assert all(ev.premise_ok for ev in pair_premises(pipe.fr))
+            assert all(ev.premise_ok for ev in premise_evidence(pipe.fr))
 
     def test_real_product_on_ray_fails(self):
         fr = FejerRiesz(np.array([2.0 + 0j, 3.0 + 0j]), 1.0)
-        evs = pair_premises(fr)
+        evs = premise_evidence(fr)
         assert all(not ev.premise_ok for ev in evs)
         assert evs[0].product == pytest.approx(6.0)
 
     def test_negative_real_product_holds(self):
         fr = FejerRiesz(np.array([2.0 + 0j, -3.0 + 0j]), 1.0)
-        assert all(ev.premise_ok for ev in pair_premises(fr))
+        assert all(ev.premise_ok for ev in premise_evidence(fr))
 
     def test_single_root_has_no_pairs(self):
         fr = FejerRiesz(np.array([2.0 + 0j]), 1.0)
-        assert pair_premises(fr) == []
+        assert premise_evidence(fr) == []
 
 
 class TestOffdiag:
@@ -161,13 +168,12 @@ def loop_pair_evidence(fr, S):
 
 
 def assert_evidence_is_loop(pipe):
-    """pair_premises, offdiag_sums and decide's max_offdiag_norm equal the
+    """offdiag_sums and decide's max_offdiag_norm equal the
     double loop bit for bit, with the loop's Python types."""
     S = S_of(pipe)
     want = loop_pair_evidence(pipe.fr, S)
     got = offdiag_sums(pipe.fr, S)
     assert [tuple(ev) for ev in got] == want
-    assert [tuple(ev) for ev in pair_premises(pipe.fr)] == [w[:4] + (0.0, 1.0) for w in want]
     for ev in got:
         assert [type(x) for x in ev] == [int, int, complex, bool, complex, float]
     norms = [abs(s_rt) / scale for *_, s_rt, scale in want]
