@@ -1,7 +1,7 @@
 """Numerical toolkit for the Cauchy dual subnormality question on weighted
 Dirichlet spaces with finitely supported circle measures."""
 
-from .measure import Measure, parse_measure, rotate_measure
+from .measure import Measure, measure_from_turns, parse_measure, rotate_measure
 from .policy import NumericPolicy
 from .fejer import TrigPoly, FejerRiesz, build_trig, factorize, verify_identity
 from .dirichlet import (DirichletData, OuterData, build_dirichlet, build_outer,
@@ -13,7 +13,7 @@ from .verdict import (PairEvidence, PsdProbe, Verdict, decide,
 from .report import PipelineResult, analyze, reference_checks
 
 __all__ = [
-    "Measure", "parse_measure", "rotate_measure",
+    "Measure", "measure_from_turns", "parse_measure", "rotate_measure",
     "NumericPolicy",
     "TrigPoly", "FejerRiesz", "build_trig", "factorize", "verify_identity",
     "DirichletData", "OuterData", "build_dirichlet", "build_outer",

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from . import debranges, dirichlet
 from .errors import CdspError, ParseError, PolicyError
-from .measure import parse_measure, parse_turns
+from .measure import measure_from_turns, parse_measure, parse_turns
 from .policy import NumericPolicy
 from .report import (PipelineResult, analyze, reference_checks,
                      report_to_json)
@@ -82,9 +82,8 @@ def _sweep_cell(cell):
            "w1": w1, "w2": w2, "w3": w3,
            "max_offdiag_norm": "", "verdict": "", "error": ""}
     try:
-        spec = f"0,{theta2},{theta3}:{w1},{w2},{w3}"
-        m = parse_measure(spec)
-        res = PipelineResult(m, NumericPolicy())
+        res = PipelineResult(measure_from_turns([Fraction(0), theta2, theta3], [w1, w2, w3]),
+                             NumericPolicy())
         row["max_offdiag_norm"] = f"{res.verdict.max_offdiag_norm:.12e}"
         row["verdict"] = res.verdict.decision
     except CdspError as exc:

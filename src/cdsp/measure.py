@@ -128,8 +128,14 @@ def parse_measure(spec: str) -> Measure:
         raise ParseError("inline measure must look like 'turns:weights'")
     turns_part, weights_part = spec.split(":", 1)
     turns = [_parse_turn(t) for t in turns_part.split(",") if t.strip() != ""]
+    return measure_from_turns(turns, [w for w in weights_part.split(",") if w.strip() != ""])
+
+
+def measure_from_turns(turns: list, weights) -> Measure:
+    """The measure with atoms at the exact angles ``turns`` (``Fraction``) and
+    ``weights`` (numbers or their text), checked as an inline measure is."""
     try:
-        weights = [float(w) for w in weights_part.split(",") if w.strip() != ""]
+        weights = [float(w) for w in weights]
     except ValueError as exc:
         raise ParseError("bad weight") from exc
     if len(turns) != len(weights) or not turns:

@@ -16,17 +16,17 @@ import numpy as np
 
 from . import debranges, dirichlet, fejer, oracle, verdict as vd
 from .errors import IdentityResidual
-from .measure import Measure, parse_measure, rotate_measure
+from .measure import Measure, measure_from_turns, parse_measure, rotate_measure
 from .policy import NumericPolicy
 
 SCHEMA_VERSION = 1
 
 
 def measure_json(m: Measure) -> dict:
-    return {"atoms": [
-        {"turns": str(t), "weight": wt} if t is not None
-        else {"angle": float(np.angle(pt)), "weight": wt}
-        for pt, wt, t in zip(m.points.tolist(), m.weights.tolist(), m.turns)]}
+    """The measure as a document that ``parse_measure`` reads back exactly."""
+    return {"atoms": [{"turns": str(t), "weight": wt} if t is not None
+                      else {"point": pt, "weight": wt}
+                      for pt, wt, t in zip(m.points.tolist(), m.weights.tolist(), m.turns)]}
 
 
 class PipelineResult:
@@ -130,22 +130,11 @@ def report_to_json(rep: dict) -> str:
 
     CPython 3.10/3.11 run the pure-Python encoder whenever ``indent`` is
     set; this writer builds the same text from whole strings per container,
-    and spells arrays of complex and runs of same-shaped records from cached
-    templates. Dict keys must be ``str``; any other value json cannot
-    encode raises TypeError.
+    and spells a list whose members share one shape from one cached
+    template. Dict keys must be ``str``; any other value json cannot encode
+    raises TypeError.
     """
-    return _json_value(rep, "")
-
-
-_float_repr = float.__repr__
-# members of these exact types are spelled without a call of _json_value;
-# subclasses (an int subclass may override __repr__) take the general path
-_SCALAR_WORDS = {
-    str: _json_str,
-    int: int.__repr__,
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): {None: "null"}.__getitem__,
-}
+    return _text(rep, "")
 
 
 def complex_parts(z) -> dict:
@@ -156,153 +145,108 @@ def complex_parts(z) -> dict:
     return {"re": z.real, "im": z.imag}
 
 
-def _complex_template(pad: str) -> str:
-    """Text of {"re": %r, "im": %r} at indent ``pad``."""
-    inner = pad + "  "
-    return "{\n" + inner + '"re": %r,\n' + inner + '"im": %r\n' + pad + "}"
+_float_repr = float.__repr__
+# the text of a leaf of each exact type, a float only when finite;
+# subclasses (an int subclass may override __repr__) are not leaves
+_WORDS = {float: _float_repr, int: int.__repr__, str: _json_str,
+          bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "null"}
+# the shape of a complex leaf: the record complex_parts(z) spells
+_COMPLEX = (('"re": ', float), ('"im": ', float))
 
 
-def _json_member(x, pad: str, cplx: str) -> str:
-    """Text of a container member other than a finite float; ``cplx`` is
-    ``_complex_template(pad)``, which spells an exact complex with finite
-    parts."""
-    if type(x) is complex and x - x == 0.0:
-        return cplx % (x.real, x.imag)
-    return _json_value(x, pad)
-
-
-@lru_cache(maxsize=64)
-def _complex_row_template(n: int, pad: str) -> str:
-    """Text of a list of ``n`` complex values at indent ``pad``, a ``%r``
-    slot for each real and imaginary part."""
-    inner = pad + "  "
-    return ("[\n" + inner + (",\n" + inner).join([_complex_template(inner)] * n)
-            + "\n" + pad + "]")
-
-
-def _all_finite(values) -> bool:
+def _finite(values) -> bool:
     """Whether every float or complex in ``values`` is finite: a NaN or
-    infinite member makes their sum NaN or infinite (a sum that overflows
-    only sends the caller to the general path)."""
+    infinite member (or an overflowing sum) makes their sum non-finite."""
     s = sum(values)
     return s - s == 0.0
 
 
-def _complex_array(v, pad: str) -> Optional[str]:
-    """Text of a list of exact ``complex`` values with finite parts, or of a
-    rectangular list of such lists, from one row template; None for any
-    other list."""
-    grid = type(v[0]) is list
-    if grid:
-        n = len(v[0])
-        if not n or set(map(type, v)) != {list} or set(map(len, v)) != {n}:
+def _block(members: list, pad: str, brackets: str) -> str:
+    """Text of a container whose members' texts are ``members``."""
+    if not members:
+        return brackets
+    inner = pad + "  "
+    body = (",\n" + inner).join(members)
+    # one f-string copies the body, megabytes at large k, only once
+    return f"{brackets[0]}\n{inner}{body}\n{pad}{brackets[1]}"
+
+
+@lru_cache(maxsize=128)
+def _template(shape: tuple, pad: str) -> str:
+    """Text of a value of ``shape`` at indent ``pad``: its members' (prefix,
+    leaf type) pairs, the prefix a flat record's '"key": ' or empty in a
+    list.  A float or int leaf is a ``%r`` slot, a complex one the two of
+    ``_COMPLEX`` and any other a ``%s`` slot for its text."""
+    inner = pad + "  "
+    return _block([prefix.replace("%", "%%")
+                   + (_template(_COMPLEX, inner) if kind is complex
+                      else "%r" if kind is float or kind is int else "%s")
+                   for prefix, kind in shape], pad, "{}" if shape[0][0] else "[]")
+
+
+def _run(v, pad: str) -> Optional[str]:
+    """Text of a list whose members share one shape: finite exact
+    ``complex`` values (one template for the list), equal-length lists of
+    them, or flat dicts with one key order and one exact leaf type per key
+    (one template per member); None for any other list."""
+    kinds = set(map(type, v))
+    head = kinds.pop() if len(kinds) == 1 else None
+    if head is complex or head is list:
+        rows = v if head is list else [v]
+        n = len(rows[0])
+        members = list(chain.from_iterable(v)) if head is list else v
+        if (not n or set(map(len, rows)) != {n}
+                or set(map(type, members)) != {complex} or not _finite(members)):
             return None
-        members = list(chain.from_iterable(v))
+        shape, parts = (("", complex),) * n, np.array(v, dtype=complex).view(float).tolist()
+        if head is complex:
+            return _template(shape, pad) % tuple(parts)
+        slots = map(tuple, parts)
+    elif head is dict:
+        key_orders = set(map(tuple, v))
+        if len(key_orders) != 1 or () in key_orders:
+            return None
+        shape, columns = [], []
+        # columns are lists, not the tuples of zip(*records): CPython 3.11
+        # never reuses a freed 20-member tuple, so the 20-record runs of
+        # k = 5 would grow the process by up to 2000 of them (368 KB)
+        for key in key_orders.pop():
+            col = list(map(itemgetter(key), v))
+            kind = set(map(type, col))
+            kind = kind.pop() if len(kind) == 1 else None
+            if kind is complex and _finite(col):
+                columns += [[z.real for z in col], [z.imag for z in col]]
+            elif kind is int or kind is float and _finite(col):
+                columns.append(col)
+            elif kind in _WORDS and kind is not float:
+                columns.append(map(_WORDS[kind], col))
+            else:
+                return None
+            shape.append((_json_str(key) + ": ", kind))
+        shape, slots = tuple(shape), zip(*columns)
     else:
-        members = v
-    if set(map(type, members)) != {complex} or not _all_finite(members):
         return None
-    parts = np.array(v, dtype=complex).view(float).tolist()
-    if not grid:
-        return _complex_row_template(len(v), pad) % tuple(parts)
-    inner = pad + "  "
-    row = _complex_row_template(n, inner)
-    return ("[\n" + inner + (",\n" + inner).join([row % tuple(r) for r in parts])
-            + "\n" + pad + "]")
+    member = _template(shape, pad + "  ")
+    return _block([member % s for s in slots], pad, "[]")
 
 
-# the value types a record template spells, and the slot of each (a complex
-# takes the two of _complex_template)
-_RECORD_SLOTS = {float: "%r", int: "%r", bool: "%s", str: "%s", type(None): "null",
-                 complex: None}
-
-
-@lru_cache(maxsize=64)
-def _record_template(keys: tuple, kinds: tuple, pad: str) -> str:
-    """Text of a dict with ``keys`` in this order, whose values have the
-    types ``kinds``, at indent ``pad``: a ``%r`` or ``%s`` slot per value
-    (two for a complex) and ``null`` for None."""
-    inner = pad + "  "
-    fields = [_json_str(key).replace("%", "%%") + ": "
-              + (_complex_template(inner) if kind is complex else _RECORD_SLOTS[kind])
-              for key, kind in zip(keys, kinds)]
-    return "{\n" + inner + (",\n" + inner).join(fields) + "\n" + pad + "}"
-
-
-def _record_run(v, pad: str) -> Optional[str]:
-    """Text of a list of flat dicts that share one key order and one exact
-    value type per key, from one record template; None for any other
-    list."""
-    if set(map(type, v)) != {dict}:
-        return None
-    key_orders = set(map(tuple, v))
-    if len(key_orders) != 1:
-        return None
-    keys = key_orders.pop()
-    if not keys:
-        return None
-    kinds, columns = [], []
-    # columns are lists, not the tuples of zip(*records): CPython 3.11 puts a
-    # freed 20-member tuple on a free list that tuple creation never draws
-    # from, so the 20-record runs of k = 5 would grow the process by up to
-    # 2000 such tuples (368 KB)
-    for key in keys:
-        col = list(map(itemgetter(key), v))
-        kind = set(map(type, col))
-        if len(kind) != 1:
-            return None
-        kind = kind.pop()
-        if (kind not in _RECORD_SLOTS
-                or (kind is float or kind is complex) and not _all_finite(col)):
-            return None
-        kinds.append(kind)
-        if kind is complex:
-            columns += [[z.real for z in col], [z.imag for z in col]]
-        elif kind is str:
-            columns.append(map(_json_str, col))
-        elif kind is bool:
-            columns.append(map(_SCALAR_WORDS[bool], col))
-        elif kind is not type(None):
-            columns.append(col)
-    inner = pad + "  "
-    record = _record_template(keys, tuple(kinds), inner)
-    rows = zip(*columns) if columns else [()] * len(v)
-    return "[\n" + inner + (",\n" + inner).join([record % r for r in rows]) + "\n" + pad + "]"
-
-
-def _json_value(v, pad: str) -> str:
-    # finite floats (x - x == 0.0), the bulk of a report, are spelled in the
-    # containers' comprehensions without a call per value
+def _text(v, pad: str) -> str:
     t = type(v)
+    if t in _WORDS and (t is not float or v - v == 0.0):
+        return _WORDS[t](v)
+    if t is complex and v - v == 0.0:
+        return _template(_COMPLEX, pad) % (v.real, v.imag)
+    # finite floats, the bulk of a report outside templates, need no call
+    inner = pad + "  "
     if t is dict:
-        if not v:
-            return "{}"
-        inner = pad + "  "
-        cplx = _complex_template(inner)
-        return ("{\n" + inner + (",\n" + inner).join([
-            _json_str(key) + ": " + (_float_repr(x) if type(x) is float and x - x == 0.0
-                                     else _SCALAR_WORDS[type(x)](x) if type(x) in _SCALAR_WORDS
-                                     else _json_member(x, inner, cplx))
-            for key, x in v.items()]) + "\n" + pad + "}")
+        return _block([_json_str(key) + ": " + (_float_repr(x) if type(x) is float
+                                                and x - x == 0.0 else _text(x, inner))
+                       for key, x in v.items()], pad, "{}")
     if t is list or t is tuple:
-        if not v:
-            return "[]"
-        # arrays of complex and runs of same-shaped records are spelled from
-        # cached templates
-        head = type(v[0])
-        text = (_complex_array(v, pad) if head is complex or head is list
-                else _record_run(v, pad) if head is dict else None)
-        if text is not None:
-            return text
-        inner = pad + "  "
-        cplx = _complex_template(inner)
-        return ("[\n" + inner + (",\n" + inner).join([
-            _float_repr(x) if type(x) is float and x - x == 0.0
-            else _SCALAR_WORDS[type(x)](x) if type(x) in _SCALAR_WORDS
-            else _json_member(x, inner, cplx)
-            for x in v]) + "\n" + pad + "]")
-    # the rare rest (NaN and infinite floats, np.complex128, subclasses, a
-    # scalar at the top level) goes to the stdlib encoder
+        return _run(v, pad) or _block([_float_repr(x) if type(x) is float and x - x == 0.0
+                                       else _text(x, inner) for x in v], pad, "[]")
+    # the rare rest (NaN and infinite floats, np.complex128, subclasses) goes
+    # to the stdlib encoder
     return json.dumps(v, indent=2, default=complex_parts).replace("\n", "\n" + pad)
 
 
@@ -373,8 +317,8 @@ def reference_checks(rotation_turns=None, weights=None) -> dict:
     three-point construction; closed-form items are skipped when the
     weights deviate from unit."""
     unit_weights = weights is None or all(abs(c - 1.0) < 1e-15 for c in weights)
-    wts = [1.0, 1.0, 1.0] if weights is None else list(weights)
-    m = parse_measure("0,1/3,2/3:" + ",".join(repr(c) for c in wts))
+    m = measure_from_turns([Fraction(0), Fraction(1, 3), Fraction(2, 3)],
+                           [1.0, 1.0, 1.0] if weights is None else weights)
     phase = 1.0 + 0.0j
     if rotation_turns is not None:
         m = rotate_measure(m, Fraction(rotation_turns))

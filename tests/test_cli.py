@@ -4,13 +4,14 @@ import json
 import re
 import sys
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from cdsp import fejer, report
+from cdsp import fejer, parse_measure, report
 from cdsp.cli import SWEEP_COLUMNS, main, run_sweep
-from cdsp.errors import PolicyError
+from cdsp.errors import CdspError, PolicyError
 from cdsp.policy import NumericPolicy
 
 
@@ -415,6 +416,29 @@ class TestSweep:
                     if {r["theta2"], r["theta3"]} == {"1/3", "2/3"})
         assert cell["verdict"] == "NotSubnormal"
         assert float(cell["max_offdiag_norm"]) == pytest.approx(0.182, abs=2e-3)
+
+    @pytest.mark.parametrize("weights", [(1.0, 1.0, 1.0), (0.3, 2.0, 5.0), (1.0, 1.0, float("nan"))])
+    def test_cells_equal_parsed_inline_specs(self, weights):
+        # a cell's measure comes from its exact turns; the same cell spelled
+        # as an inline spec and parsed gives the same row, in-row errors too
+        want = []
+        for i in range(1, 5):
+            for j in range(1, 5):
+                t2, t3 = Fraction(i, 5), Fraction(j, 5)
+                row = {"theta2": str(t2), "theta3": str(t3),
+                       "w1": weights[0], "w2": weights[1], "w3": weights[2],
+                       "max_offdiag_norm": "", "verdict": "", "error": ""}
+                try:
+                    spec = f"0,{t2},{t3}:{weights[0]},{weights[1]},{weights[2]}"
+                    res = report.PipelineResult(parse_measure(spec), NumericPolicy())
+                    row["max_offdiag_norm"] = f"{res.verdict.max_offdiag_norm:.12e}"
+                    row["verdict"] = res.verdict.decision
+                except CdspError as exc:
+                    row["error"] = f"{type(exc).__name__}: {exc}"
+                want.append(row)
+        rows = run_sweep(4, weights)
+        assert rows == want
+        assert sum(bool(r["error"]) for r in rows) == (16 if weights[2] != weights[2] else 4)
 
     def test_bad_weight_count(self, capsys):
         code, _, err = run(capsys, "sweep", "--grid", "2", "--weights", "1,2")

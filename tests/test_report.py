@@ -293,6 +293,11 @@ class TestTemplatePaths:
         with pytest.raises(TypeError):
             report_to_json([{1: 2.0}, {1: 3.0}])
 
+    @pytest.mark.parametrize("value", [[{None: 2.0}, {None: 3.0}], [{"a": 1j, None: 2j}] * 2])
+    def test_record_key_none_is_not_a_list(self, value):
+        with pytest.raises(TypeError):
+            report_to_json(value)
+
     @pytest.mark.parametrize("value", [
         [[1 + 2j, -0.0 - 0.0j], [3j, 4.0 + 0j]],
         [[1 + 2j, 3j], [4 + 0j]],
@@ -331,16 +336,25 @@ def _random_spec(seed, k):
     return ",".join(f"{x}/997" for x in n) + ":" + ",".join(repr(float(x)) for x in w)
 
 
+# turns, angle and point atoms: the report writes the last two as their
+# points, so its atom records mix shapes and carry complex values
+MIXED_ATOMS = json.dumps({"atoms": [
+    {"turns": "1/7", "weight": 2.0}, {"angle": 1.3, "weight": 0.5},
+    {"point": {"re": -0.28, "im": 0.96}, "weight": 3}, {"angle": -2.5, "weight": 1.25}]})
+
+
 @pytest.mark.parametrize("spec, kwargs", [
     ("0,1/3,2/3:1,1,1", {"with_oracle": True, "exhaustive_psd": True}),
     ("0,1/2:1,1", {}),
     (_equi(8), {}),
     (_equi(16), {}),
     (_equi(32), {}),
+    (_equi(10), {}),
     (_random_spec(7, 7), {}),
     (_random_spec(11, 8), {}),
-], ids=["ref3-oracle-exhaustive", "antipodal", "equi8", "equi16", "equi32", "random7",
-        "random8"])
+    (MIXED_ATOMS, {"with_oracle": True}),
+], ids=["ref3-oracle-exhaustive", "antipodal", "equi8", "equi16", "equi32", "equi10",
+        "random7", "random8", "mixed-atoms"])
 def test_pipeline_report_is_json_dumps(spec, kwargs):
     rep = analyze(spec, **kwargs)
     assert report_to_json(rep) == json.dumps(rep, indent=2, default=re_im)
