@@ -6,7 +6,7 @@ import json
 import time
 from dataclasses import replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import itemgetter
@@ -30,7 +30,12 @@ def measure_json(m: Measure) -> dict:
 
 
 class PipelineResult:
-    """Bundle of every intermediate artifact of one analysis run."""
+    """Bundle of every intermediate artifact of one analysis run.
+
+    Construction runs the stages through the verdict (and the oracle when
+    asked); the Hermitian form ``hf`` (C and P) is built on first read, so a
+    verdict-only caller neither pays for it nor loses its verdict when
+    building it fails."""
 
     def __init__(self, m: Measure, policy: NumericPolicy,
                  with_oracle: bool = False, exhaustive_psd: bool = False):
@@ -42,13 +47,16 @@ class PipelineResult:
         if not self.identity_residual <= policy.identity_tol:
             raise IdentityResidual(self.identity_residual, policy.identity_tol)
         self.dd = dirichlet.build_dirichlet(m, self.fr)
-        self.hf = debranges.extract_C(self.dd)
         S = debranges.eval_S(self.dd, self.fr.alphas, self.fr.alphas)
         self.verdict = vd.decide(self.fr, S, policy, exhaustive_psd=exhaustive_psd)
         self.oracle_report = None
         if with_oracle:
             self.oracle_report = run_oracle(m, policy)
         self.elapsed = time.perf_counter() - t0
+
+    @cached_property
+    def hf(self) -> debranges.HermForm:
+        return debranges.extract_C(self.dd)
 
 
 def run_oracle(m: Measure, policy: NumericPolicy) -> dict:

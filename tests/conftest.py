@@ -50,9 +50,9 @@ def S_at(dd, z, u) -> complex:
     return complex(eval_S(dd, [z], [u])[0, 0])
 
 
-def equi_spaced(k):
-    """k unit-weight atoms at the k-th roots of unity."""
-    return ",".join(f"{i}/{k}" for i in range(k)) + ":" + ",".join(["1"] * k)
+def equi_spaced(k, weight=1):
+    """k atoms of one weight (unit by default) at the k-th roots of unity."""
+    return ",".join(f"{i}/{k}" for i in range(k)) + ":" + ",".join([str(weight)] * k)
 
 
 @st.composite

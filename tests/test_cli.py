@@ -13,6 +13,7 @@ from cdsp import fejer, parse_measure, report
 from cdsp.cli import SWEEP_COLUMNS, main, run_sweep
 from cdsp.errors import CdspError, PolicyError
 from cdsp.policy import NumericPolicy
+from conftest import equi_spaced
 
 
 def run(capsys, *argv):
@@ -219,6 +220,15 @@ class TestAnalyze:
         code, out, err = run(capsys, "analyze", "-m", json.dumps(doc))
         assert code == 2 and out == ""
         assert "error [ParseError]: weight must be a number, got True" in err
+
+    # C is indefinite here (roots accurate to 5e-11 or 1.5e-9 relative) while
+    # S at the roots decides; the report needs C, so analyze still fails
+    @pytest.mark.parametrize("c, k", [(5, 128), (20, 96)])
+    def test_failing_C_is_one_error_line(self, capsys, c, k):
+        code, out, err = run(capsys, "analyze", "-m", equi_spaced(k, c))
+        assert code == 2
+        assert out == ""
+        assert re.fullmatch(rf"error \[NotPSD\]: pivot -\S+ at index {k - 1}\n", err)
 
     def test_byte_stable_modulo_timings(self, capsys):
         reps = []

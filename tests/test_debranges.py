@@ -256,7 +256,7 @@ class TestExtractC:
              "2.5,3,1.09,2.91,3.95,1.27,2.13,2.29,3.58,1.53,1.98,3.43,3.07,1.55,3.91,3.72")
     def test_random_measures_are_never_not_psd(self, spec):
         try:
-            PipelineResult(parse_measure(spec), NumericPolicy())
+            PipelineResult(parse_measure(spec), NumericPolicy()).hf
         except NotPSD as exc:
             pytest.fail(f"{spec}: {exc}")
 

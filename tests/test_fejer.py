@@ -197,6 +197,8 @@ class TestEquiSpaced:
     def test_decides_not_subnormal_at_large_k(self, k):
         res = PipelineResult(parse_measure(equi_spaced(k)), NumericPolicy())
         assert res.verdict.decision == "NotSubnormal"
+        # C and P, built on first read, must factor at these k too
+        assert res.hf.P.shape == (k, k)
 
     @pytest.mark.parametrize("k", [2, 3, 6, 8, 12])
     def test_sorted_by_angle_from_zero(self, k):

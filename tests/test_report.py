@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cdsp import report
-from cdsp.report import analyze, report_to_json
+from cdsp import NumericPolicy, debranges, parse_measure, report
+from cdsp.errors import NotPSD
+from cdsp.report import PipelineResult, analyze, report_to_json
+from conftest import equi_spaced
 
 SPECIAL_FLOATS = [0.0, -0.0, float("nan"), float("inf"), float("-inf"),
                   5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
@@ -358,6 +360,33 @@ MIXED_ATOMS = json.dumps({"atoms": [
 def test_pipeline_report_is_json_dumps(spec, kwargs):
     rep = analyze(spec, **kwargs)
     assert report_to_json(rep) == json.dumps(rep, indent=2, default=re_im)
+
+
+class TestHermitianFormOnFirstRead:
+    def test_built_once_on_first_read(self, monkeypatch):
+        calls = []
+        extract_C = debranges.extract_C
+
+        def spy(dd):
+            calls.append(dd)
+            return extract_C(dd)
+
+        monkeypatch.setattr(debranges, "extract_C", spy)
+        res = PipelineResult(parse_measure("0,1/3,2/3:1,1,1"), NumericPolicy())
+        assert calls == []
+        hf = res.hf
+        assert len(calls) == 1 and calls[0] is res.dd
+        assert res.hf is hf
+        assert len(calls) == 1
+
+    # the roots are accurate only to 5e-11 (c = 5) or 1.5e-9 (c = 20) relative
+    # at these k, which leaves C indefinite; S at the roots still decides
+    @pytest.mark.parametrize("c, k", [(5, 128), (20, 96)])
+    def test_failing_C_keeps_the_verdict(self, c, k):
+        res = PipelineResult(parse_measure(equi_spaced(k, c)), NumericPolicy())
+        assert res.verdict.decision == "NotSubnormal"
+        with pytest.raises(NotPSD, match=rf"at index {k - 1}$"):
+            res.hf
 
 
 class TestReferenceChecks:

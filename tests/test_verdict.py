@@ -355,21 +355,25 @@ class TestRootValues:
 
     @pytest.mark.parametrize("exhaustive", [False, True])
     def test_pipeline_evaluates_S_twice(self, reference_pipes, monkeypatch, exhaustive):
-        # once on the DFT nodes (extract_C), once on the exterior roots
+        # once on the exterior roots for the verdict, then once on the DFT
+        # nodes (extract_C) when the Hermitian form is first read
         calls = []
 
         def spy(dd, z, u):
             out = eval_S(dd, z, u)
-            calls.append((np.shape(z), np.shape(u), out))
+            calls.append((z, u, out))
             return out
 
         monkeypatch.setattr(debranges, "eval_S", spy)
         for name, pipe in reference_pipes.items():
             calls.clear()
             res = PipelineResult(pipe.measure, NumericPolicy(), exhaustive_psd=exhaustive)
+            assert len(calls) == 1, name
+            assert calls[0][0] is res.fr.alphas and calls[0][1] is res.fr.alphas, name
+            assert res.hf is res.hf, name
             k = pipe.measure.k
-            assert [c[:2] for c in calls] == [((k,), (k,)), ((k,), (k,))], name
-            assert res.verdict.S is calls[1][2], name
+            assert [(np.shape(z), np.shape(u)) for z, u, _ in calls] == [((k,), (k,))] * 2, name
+            assert res.verdict.S is calls[0][2], name
             assert np.array_equal(res.verdict.S, S_of(pipe)), name
 
     def test_moment_truncation_matches_per_order_loop(self, reference_pipes):
