@@ -26,7 +26,6 @@ from .errors import IllConditioned
 
 @dataclass(frozen=True)
 class HermForm:
-    k: int
     C: np.ndarray  # coefficient of z^m conj(u)^n at C[m-1, n-1], m,n = 1..k
     P: np.ndarray  # upper triangular, rows are coefficient vectors of p_j over z^1..z^k
 
@@ -54,21 +53,19 @@ def extract_C(dd: DirichletData) -> HermForm:
     """Coefficients of z^m conj(u)^n (m,n = 1..k) from S on the k rotated
     k-th roots of unity, where V[a, m-1] = node_a^m has V^H V = k I: so
     S_grid = V C V^H gives C = V^H S_grid V / k^2, with no solve and no
-    conditioning loss at any k; the refit checks the evaluation of S."""
+    conditioning loss at any k.  The refit V C V^H of the Hermitized C
+    misses S_grid by (S_grid^H - S_grid) / 2, which a correct evaluation
+    of S leaves at rounding level, so S_grid itself is checked."""
     k = dd.measure.k
     nodes = np.exp(2j * np.pi * np.arange(k) / k + 0.37j)
     V = nodes[:, None] ** np.arange(1, k + 1)
     S_grid = eval_S(dd, nodes, nodes)
+    scale = max(float(np.max(np.abs(S_grid))), 1e-300)
+    if np.max(np.abs(S_grid - S_grid.conj().T)) > 2e-9 * scale:
+        raise IllConditioned("coefficient refit residual too large")
     C = V.conj().T @ S_grid @ V / k ** 2
     C = 0.5 * (C + C.conj().T)
-    # refit residual: V / sqrt(k) is unitary, so this is the anti-Hermitian
-    # part of S_grid, which a correct evaluation of S leaves at rounding level
-    refit = V @ C @ V.conj().T
-    scale = max(float(np.max(np.abs(S_grid))), 1e-300)
-    if np.max(np.abs(refit - S_grid)) > 1e-9 * scale:
-        raise IllConditioned("coefficient refit residual too large")
-    P = factor_P(C)
-    return HermForm(k, C, P)
+    return HermForm(C, factor_P(C))
 
 
 def factor_P(C: np.ndarray) -> np.ndarray:
@@ -92,7 +89,7 @@ def factor_P(C: np.ndarray) -> np.ndarray:
 def eval_schur(dd: DirichletData, hf: HermForm, z: complex) -> np.ndarray:
     """Row vector B(z) = (p_1/q, ..., p_k/q): the rows of P over the pole
     polynomial q of the outer function."""
-    zp = np.array([z ** m for m in range(1, hf.k + 1)], dtype=complex)
+    zp = np.array([z ** m for m in range(1, len(hf.P) + 1)], dtype=complex)
     return (hf.P @ zp) / dd.outer.parts(z)[0]
 
 

@@ -22,7 +22,12 @@ class IdentityResidual(CdspError):
 
 
 class NotPSD(CdspError):
-    """A matrix required to be positive semidefinite has a significantly negative pivot."""
+    """A matrix required to be positive semidefinite has a significantly negative pivot
+    (``pivot`` at ``index``; both None when the clamped factor fails to reconstruct it)."""
+
+    def __init__(self, message: str, pivot=None, index=None):
+        super().__init__(message)
+        self.pivot, self.index = pivot, index
 
 
 class Singular(CdspError):
@@ -58,8 +63,8 @@ class DegenerateAtom(CdspError):
 
 
 class IllConditioned(CdspError):
-    """A computed quantity is not trustworthy: the coefficients of S do not refit S on the
-    unit-circle grid, or a positivity probe's moment truncation is not finite."""
+    """A computed quantity is not trustworthy: S on the unit-circle grid is not Hermitian, so
+    its coefficients do not refit it, or a positivity probe's moment truncation is not finite."""
 
 
 class DegenerateAlphas(CdspError):

@@ -157,7 +157,7 @@ def cholesky_herm(M) -> np.ndarray:
     for j in range(n):
         d = A[j, j].real - float(np.sum(np.abs(L[j, :j]) ** 2))
         if d < -1e-8 * tr:
-            raise NotPSD(f"pivot {d:.3e} at index {j}")
+            raise NotPSD(f"pivot {d:.3e} at index {j}", d, j)
         if d <= CLAMP_TOL * tr:
             # clamped pivot: row contributes nothing
             continue

@@ -111,8 +111,8 @@ def build_report(res: PipelineResult) -> dict:
             "diagonal": v.S.diagonal().real.tolist(),
             "offdiagonal": [
                 {"r": ev.r, "t": ev.t, "value": ev.S_rt,
-                 "normalized": norm, "premise_ok": ev.premise_ok}
-                for ev, norm in zip(v.pair_evidence, vd.offdiag_norms(v.pair_evidence))
+                 "normalized": ev.normalized, "premise_ok": ev.premise_ok}
+                for ev in v.pair_evidence
             ],
         },
         "verdict": {
@@ -333,11 +333,9 @@ def reference_checks(rotation_turns=None, weights=None) -> dict:
         t = Fraction(rotation_turns) % 1  # exact, so a huge turn count still fits a float
         phase = complex(np.cos(2 * np.pi * float(t)), np.sin(2 * np.pi * float(t)))
     policy = NumericPolicy()
-    try:
-        res = PipelineResult(m, policy)
-    except IdentityResidual:
-        # the other items still read the factorization; the identity item fails below
-        res = PipelineResult(m, replace(policy, identity_tol=np.inf))
+    # no residual ends the run: the other items still read the factorization,
+    # and the identity item compares the residual with policy.identity_tol
+    res = PipelineResult(m, replace(policy, identity_tol=np.inf))
     fr, dd, hf = res.fr, res.dd, res.hf
 
     if unit_weights:

@@ -33,7 +33,7 @@ class PairEvidence(NamedTuple):
     product: complex
     premise_ok: bool
     S_rt: complex
-    S_scale: float
+    normalized: float  # |S_rt| / sqrt(S[r, r] S[t, t])
 
 
 @dataclass(frozen=True)
@@ -62,8 +62,8 @@ class Verdict:
 def offdiag_sums(fr: FejerRiesz, S: np.ndarray) -> List[PairEvidence]:
     """Evidence at the row-major pairs (r, t), r != t: the product alpha_r
     conj(alpha_t), premise_ok iff it stays off the ray [1, inf), and the
-    root value S[r, t] = S(alpha_r, alpha_t) with its scale
-    sqrt(S[r, r] S[t, t])."""
+    root value S[r, t] = S(alpha_r, alpha_t) with its size relative to
+    sqrt(S[r, r] S[t, t]), as the zero test and the report read it."""
     alphas = fr.alphas
     k = len(alphas)
     offdiag = ~np.eye(k, dtype=bool)
@@ -78,13 +78,11 @@ def offdiag_sums(fr: FejerRiesz, S: np.ndarray) -> List[PairEvidence]:
     on_ray = (np.abs(prod.imag) <= 1e-10) & (prod.real >= 1.0 - 1e-10)
     diag = np.maximum(S.diagonal().real, 1e-300)
     scale = np.sqrt(diag[:, None] * diag[None, :])[offdiag]
+    S_rt = S[offdiag].tolist()
+    # Python's abs of a complex: numpy's rounds some moduli differently
+    normalized = [abs(s) / d for s, d in zip(S_rt, scale.tolist())]
     return list(map(PairEvidence, r.tolist(), t.tolist(), prod.tolist(), (~on_ray).tolist(),
-                    S[offdiag].tolist(), scale.tolist()))
-
-
-def offdiag_norms(evidence: List[PairEvidence]) -> List[float]:
-    """|S_rt| / S_scale of each pair, as the zero test and the report read it."""
-    return [abs(ev.S_rt) / ev.S_scale for ev in evidence]
+                    S_rt, normalized))
 
 
 def _diff_products(alphas: np.ndarray) -> np.ndarray:
@@ -156,7 +154,7 @@ def decide(fr: FejerRiesz, S: np.ndarray,
     policy = policy or NumericPolicy()
     evidence = offdiag_sums(fr, S)
     premises_ok = all(ev.premise_ok for ev in evidence)
-    max_norm = max(offdiag_norms(evidence), default=0.0)
+    max_norm = max((ev.normalized for ev in evidence), default=0.0)
     probes = []
     if run_psd:
         probes = psd_search(fr, S, policy.l_max, policy.N_trunc,

@@ -147,7 +147,7 @@ def test_criterion_5_known_subnormal_controls():
             S = eval_S(dd, fr.alphas, fr.alphas)
             v = decide(fr, S, NumericPolicy())
             assert v.decision == SUBNORMAL_NUMERIC
-            norms = [abs(ev.S_rt) / ev.S_scale for ev in v.pair_evidence]
+            norms = [ev.normalized for ev in v.pair_evidence]
             assert all(n <= 1e-7 for n in norms)
             probes = psd_search(fr, S, 16, 64, psd_tol=1e-10,
                                 exhaustive=True)

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -10,7 +11,7 @@ from cdsp import (NumericPolicy, PipelineResult, build_dirichlet, factorize, par
 from cdsp import numerics as nx
 from cdsp.debranges import eval_S, eval_schur, extract_C, factor_P, kernel_KB
 from cdsp.dirichlet import OuterData, kernel_full
-from cdsp.errors import CdspError, NotPSD
+from cdsp.errors import CdspError, IllConditioned, NotPSD
 from cdsp.report import analyze
 from conftest import (ALPHA_CONST, B_CONST, SPECS, W_CONST, X_CONST, S_at, equi_spaced,
                       random_measures)
@@ -238,6 +239,15 @@ class TestExtractC:
         want = dft_C_mp(dd, fr.d)
         got = extract_C(dd).C
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    # a non-Hermitian W makes S(u, z) != conj S(z, u), so S on the grid is
+    # not Hermitian and no Hermitian C refits it
+    def test_non_hermitian_S_is_rejected(self, three_point):
+        dd = three_point.dd
+        extract_C(dd)
+        E = np.triu(np.ones((3, 3)), 1)
+        with pytest.raises(IllConditioned, match="coefficient refit residual too large"):
+            extract_C(replace(dd, W=dd.W + 1e-3 * E))
 
     @pytest.mark.parametrize("k", [29, 33, 38, 48, 64])
     def test_large_equi_spaced_decides(self, k):

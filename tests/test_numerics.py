@@ -121,8 +121,10 @@ class TestCholesky:
                     <= 1e-10 * np.linalg.norm(M))
 
     def test_rejects_indefinite(self):
-        with pytest.raises(NotPSD):
+        with pytest.raises(NotPSD) as exc:
             nx.cholesky_herm(np.diag([1.0, -1.0]))
+        assert (exc.value.pivot, exc.value.index) == (-1.0, 1)
+        assert str(exc.value) == "pivot -1.000e+00 at index 1"
 
 
 def loop_cholesky(M):

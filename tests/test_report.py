@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cdsp import NumericPolicy, debranges, parse_measure, report
+from cdsp import NumericPolicy, debranges, fejer, parse_measure, report
+from cdsp.cli import main
 from cdsp.errors import NotPSD
 from cdsp.report import PipelineResult, analyze, report_to_json
 from conftest import equi_spaced
@@ -385,8 +386,9 @@ class TestHermitianFormOnFirstRead:
     def test_failing_C_keeps_the_verdict(self, c, k):
         res = PipelineResult(parse_measure(equi_spaced(k, c)), NumericPolicy())
         assert res.verdict.decision == "NotSubnormal"
-        with pytest.raises(NotPSD, match=rf"at index {k - 1}$"):
+        with pytest.raises(NotPSD) as exc:
             res.hf
+        assert exc.value.index == k - 1 and exc.value.pivot < 0
 
 
 class TestReferenceChecks:
@@ -394,6 +396,19 @@ class TestReferenceChecks:
         want = report_to_json(report.reference_checks())
         with np.printoptions(precision=3):
             assert report_to_json(report.reference_checks()) == want
+
+    # a residual just over identity_tol (1e-9): the run still reads the
+    # factorization, so only the identity item fails
+    def test_identity_failure_fails_only_its_item(self, monkeypatch, capsys):
+        monkeypatch.setattr(fejer, "verify_identity", lambda m, fr: 2e-9)
+        rep = report.reference_checks()
+        assert len(rep["items"]) == 13
+        items = {it["name"]: it for it in rep["items"]}
+        assert items.pop("factorization_identity") == {
+            "name": "factorization_identity", "status": "FAIL", "detail": "residual=2e-09"}
+        assert all(it["status"] == "PASS" for it in items.values())
+        assert rep["all_passed"] is False
+        assert main(["paper-check"]) == 1
 
     def test_closed_form_arrays(self):
         ref = report.closed_form_constants()

@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, settings, strategies as st
 
 from cdsp import (NumericPolicy, PipelineResult, build_dirichlet, debranges, extract_C,
-                  factorize, parse_measure, rotate_measure)
+                  factorize, measure_from_turns, parse_measure, rotate_measure)
 from cdsp.debranges import eval_S
 from cdsp.errors import CdspError, DegenerateAlphas, IllConditioned
 from cdsp.fejer import FejerRiesz
@@ -62,8 +62,9 @@ def per_order_decide(fr, s_eval, policy, exhaustive):
     for ev in premise_evidence(fr):
         s_rt = complex(s_eval(fr.alphas[ev.r], fr.alphas[ev.t]))
         scale = float(np.sqrt(max(diag[ev.r], 1e-300) * max(diag[ev.t], 1e-300)))
-        evidence.append(PairEvidence(ev.r, ev.t, ev.product, ev.premise_ok, s_rt, scale))
-    norms = [abs(ev.S_rt) / ev.S_scale for ev in evidence]
+        evidence.append(PairEvidence(ev.r, ev.t, ev.product, ev.premise_ok, s_rt,
+                                     abs(s_rt) / scale))
+    norms = [ev.normalized for ev in evidence]
     probes = []
     for l in range(1, policy.l_max + 1):
         M = per_order_truncation(fr, s_eval, l, policy.N_trunc)
@@ -97,9 +98,10 @@ def scalar_root_values(fr, s_eval):
 
 def premise_evidence(fr):
     """offdiag_sums' r, t, alpha_r conj(alpha_t) and premise_ok, which do
-    not depend on the root values it is given."""
+    not depend on the root values it is given (the identity: a zero
+    diagonal would leave the pairs no scale to be normalized by)."""
     k = len(fr.alphas)
-    return offdiag_sums(fr, np.zeros((k, k), dtype=complex))
+    return offdiag_sums(fr, np.eye(k, dtype=complex))
 
 
 def premises(evidence):
@@ -129,7 +131,7 @@ class TestPremises:
 class TestOffdiag:
     def test_three_point_normalized_norm(self, three_point):
         evs = offdiag_sums(three_point.fr, S_of(three_point))
-        norms = [abs(ev.S_rt) / ev.S_scale for ev in evs]
+        norms = [ev.normalized for ev in evs]
         # all six pairs have the same size by symmetry
         assert max(norms) == pytest.approx(min(norms), rel=1e-8)
         assert max(norms) == pytest.approx(0.182, abs=2e-3)
@@ -137,7 +139,7 @@ class TestOffdiag:
     def test_antipodal_vanishes(self, pipes):
         pipe = pipes["antipodal"]
         evs = offdiag_sums(pipe.fr, S_of(pipe))
-        assert max(abs(ev.S_rt) / ev.S_scale for ev in evs) < 1e-9
+        assert max(ev.normalized for ev in evs) < 1e-9
 
     def test_scale_is_geometric_mean_of_diagonal(self, three_point):
         fr = three_point.fr
@@ -146,11 +148,11 @@ class TestOffdiag:
         d0 = s(fr.alphas[0], fr.alphas[0]).real
         d1 = s(fr.alphas[1], fr.alphas[1]).real
         ev = next(e for e in evs if (e.r, e.t) == (0, 1))
-        assert ev.S_scale == pytest.approx(np.sqrt(d0 * d1), rel=1e-12)
+        assert ev.normalized == pytest.approx(abs(ev.S_rt) / np.sqrt(d0 * d1), rel=1e-12)
 
 
 # --- pair evidence as first written: a double loop over (r, t), one
-# scalar product and one scale per pair -------------------------------
+# scalar product and one normalized value per pair ---------------------
 
 def loop_pair_evidence(fr, S):
     diag = S.diagonal().real
@@ -163,7 +165,8 @@ def loop_pair_evidence(fr, S):
             prod = complex(fr.alphas[r] * np.conj(fr.alphas[t]))
             on_ray = abs(prod.imag) <= 1e-10 and prod.real >= 1.0 - 1e-10
             scale = float(np.sqrt(max(diag[r], 1e-300) * max(diag[t], 1e-300)))
-            out.append((r, t, prod, not on_ray, complex(S[r, t]), scale))
+            s_rt = complex(S[r, t])
+            out.append((r, t, prod, not on_ray, s_rt, abs(s_rt) / scale))
     return out
 
 
@@ -176,7 +179,7 @@ def assert_evidence_is_loop(pipe):
     assert [tuple(ev) for ev in got] == want
     for ev in got:
         assert [type(x) for x in ev] == [int, int, complex, bool, complex, float]
-    norms = [abs(s_rt) / scale for *_, s_rt, scale in want]
+    norms = [norm for *_, norm in want]
     assert decide(pipe.fr, S).max_offdiag_norm == (max(norms) if norms else 0.0)
 
 
@@ -343,10 +346,15 @@ class TestRootValues:
                 pipe.fr, s_of(pipe), policy, exhaustive)
             assert v.decision == decision, name
             assert premises(v.pair_evidence) == premises(evidence), name
-            s_max = np.max(np.abs(scalar_root_values(pipe.fr, s_of(pipe))))
+            S = scalar_root_values(pipe.fr, s_of(pipe))
+            s_max = np.max(np.abs(S))
+            diag = S.diagonal().real
             for got, want in zip(v.pair_evidence, evidence):
                 assert abs(got.S_rt - want.S_rt) <= 1e-13 * s_max, name
-                assert abs(got.S_scale - want.S_scale) <= 1e-13 * s_max, name
+                # |S_rt| and the scale sqrt(S_rr S_tt) both move by rounding
+                scale = np.sqrt(diag[got.r] * diag[got.t])
+                assert (abs(got.normalized - want.normalized) * scale
+                        <= 1e-13 * s_max * (1 + want.normalized)), name
             assert v.max_offdiag_norm == pytest.approx(max_norm, rel=1e-12, abs=0), name
             assert [(p.l, p.N) for p in v.psd_probes] == [(p.l, p.N) for p in probes], name
             for got, want in zip(v.psd_probes, probes):
@@ -401,3 +409,44 @@ class TestRootValues:
         cut = violations[0] + 1 if violations else len(full.psd_probes)
         assert short.psd_probes == full.psd_probes[:cut]
         assert short.decision == full.decision
+
+
+# --- metamorphic: the verdict is a property of the measure, not of where
+# its atoms sit on the circle or in which order they are listed ----------
+
+@st.composite
+def moved_measures(draw):
+    """Atoms at n/997 turns with chords >= 0.1 and log-uniform weights in
+    [0.25, 4] to six digits, k = 2..8, as the benchmark's random measures
+    are drawn; with a rotation by shift/997 turns and a permutation."""
+    k = draw(st.integers(2, 8))
+    n = draw(st.lists(st.integers(0, 996), min_size=k, max_size=k, unique=True))
+    gaps = np.diff(sorted(n) + [min(n) + 997]) / 997
+    assume(2.0 * np.sin(np.pi * gaps.min()) >= 0.1)
+    logw = draw(st.lists(st.floats(np.log(0.25), np.log(4.0)), min_size=k, max_size=k))
+    w = [float(f"{x:.6g}") for x in np.exp(logw)]
+    return n, w, draw(st.integers(1, 996)), draw(st.permutations(range(k)))
+
+
+def verdict_outcome(n, w):
+    """(decision, probe violation pattern) and max_offdiag_norm of the atoms
+    at n/997 turns, or the type of the error that ends the analysis."""
+    try:
+        v = PipelineResult(measure_from_turns([Fraction(x, 997) for x in n], w),
+                           NumericPolicy()).verdict
+    except CdspError as exc:
+        return type(exc).__name__, None
+    return (v.decision, [p.violates(v.policy.psd_tol) for p in v.psd_probes]), v.max_offdiag_norm
+
+
+class TestInvariance:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(moved_measures())
+    def test_rotation_and_permutation(self, case):
+        n, w, shift, perm = case
+        want, want_norm = verdict_outcome(n, w)
+        got, got_norm = verdict_outcome([(n[i] + shift) % 997 for i in perm],
+                                        [w[i] for i in perm])
+        assert got == want
+        if want_norm is not None:
+            assert got_norm == pytest.approx(want_norm, rel=1e-9, abs=0)
