@@ -33,13 +33,11 @@ def _load_measure_arg(arg: str) -> str:
     return arg
 
 
-def _policy_from_args(args) -> NumericPolicy:
-    policy = NumericPolicy()
-    if args.policy:
-        policy = NumericPolicy.from_json(
-            _read_text(args.policy.lstrip("@"), PolicyError, "policy"))
-    overrides = {"seed": args.seed, "l_max": args.lmax, "N_trunc": args.ntrunc}
-    return replace(policy, **{k: v for k, v in overrides.items() if v is not None})
+def _policy_file(arg) -> NumericPolicy:
+    """The policy of ``--policy @file.json``, or the default one."""
+    if not arg:
+        return NumericPolicy()
+    return NumericPolicy.from_json(_read_text(arg.lstrip("@"), PolicyError, "policy"))
 
 
 def _emit(text: str, out_path) -> bool:
@@ -61,7 +59,9 @@ def _emit(text: str, out_path) -> bool:
 
 
 def cmd_analyze(args) -> int:
-    policy = _policy_from_args(args)
+    overrides = {"seed": args.seed, "l_max": args.lmax, "N_trunc": args.ntrunc}
+    policy = replace(_policy_file(args.policy),
+                     **{k: v for k, v in overrides.items() if v is not None})
     rep = analyze(_load_measure_arg(args.measure), policy,
                   with_oracle=args.oracle, exhaustive_psd=args.exhaustive_psd)
     return 0 if _emit(report_to_json(rep), args.out) else 2
@@ -105,9 +105,6 @@ def run_sweep(grid: int, weights) -> list:
 
 
 def cmd_sweep(args) -> int:
-    if len(args.weights) != 3:
-        print("sweep needs exactly three weights", file=sys.stderr)
-        return 2
     rows = run_sweep(args.grid, args.weights)
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=SWEEP_COLUMNS, lineterminator="\n")
@@ -123,67 +120,56 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _parse_point(text: str) -> complex:
-    """argparse type for a disc point written 're,im'."""
-    try:
-        re_s, im_s = text.split(",")
-        return complex(float(re_s), float(im_s))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected 're,im', got {text!r}") from None
-
-
-def _parse_weights(text: str) -> tuple:
-    """argparse type for weights written 'w1,w2,...'."""
-    try:
-        return tuple(float(w) for w in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated numbers, got {text!r}") from None
-
-
-def _parse_turns(text: str) -> Fraction:
-    """argparse type for a rotation in turns written as a rational number
-    ('1/7', '0.25', '1e-3')."""
-    try:
-        return parse_turns(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(
-            f"expected a rational number of turns, got {text!r}") from None
-
-
-def _int_at_least(low: int, noun: str):
-    """argparse type for an integer of at least ``low``, named ``noun`` in
-    the error."""
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            value = low - 1
-        if value < low:
-            raise argparse.ArgumentTypeError(f"expected a {noun}, got {text!r}")
-        return value
-    return parse
-
-
-_positive_int = _int_at_least(1, "positive integer")
-_nonnegative_int = _int_at_least(0, "non-negative integer")
-
-
 def cmd_kernel(args) -> int:
     z, lam = args.z, args.lam
-    # written so that a NaN coordinate fails the test too
-    if not (abs(z) < 1 and abs(lam) < 1):
-        print("kernel evaluation requires |z| < 1 and |lam| < 1", file=sys.stderr)
-        return 2
-    policy = _policy_from_args(args)
-    res = PipelineResult(parse_measure(_load_measure_arg(args.measure)), policy)
+    res = PipelineResult(parse_measure(_load_measure_arg(args.measure)),
+                         _policy_file(args.policy))
     kt = dirichlet.kernel_omu(res.dd, z, lam)
     kp = dirichlet.kernel_perp(res.dd, z, lam)
     kb = debranges.kernel_KB(res.dd, res.hf, z, lam)
     out = {"z": z, "lam": lam, "K_subspace": kt, "K_complement": kp,
            "K_full": kt + kp, "K_B": kb, "difference": abs(kt + kp - kb)}
     return 0 if _emit(report_to_json(out), args.out) else 2
+
+
+def _arg_type(parse, expected: str):
+    """argparse type that reads a value with ``parse``; a ValueError (or
+    ZeroDivisionError, from Fraction) becomes ``expected <expected>, got '<text>'``."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except (ValueError, ZeroDivisionError):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}") from None
+    return convert
+
+
+def _disc_point(text: str) -> complex:
+    re_s, im_s = text.split(",")
+    z = complex(float(re_s), float(im_s))
+    if not abs(z) < 1:  # written so that a NaN coordinate fails the test too
+        raise ValueError(text)
+    return z
+
+
+def _three_weights(text: str) -> tuple:
+    w1, w2, w3 = map(float, text.split(","))
+    return w1, w2, w3
+
+
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise ValueError(text)
+    return n
+
+
+# syntax and the argument's own domain; NumericPolicy bounds the integers
+# that set its fields, as it does a policy file's
+_POINT = _arg_type(_disc_point, "'re,im' inside the unit disc")
+_WEIGHTS = _arg_type(_three_weights, "three comma-separated numbers")
+_GRID = _arg_type(_positive_int, "a positive integer")
+_TURNS = _arg_type(parse_turns, "a rational number of turns")
+_INT = _arg_type(int, "an integer")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -193,15 +179,16 @@ def make_parser() -> argparse.ArgumentParser:
                     "shift on a weighted Dirichlet space is subnormal.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, policy=False):
-        # only analyze and kernel run the pipeline under a chosen policy;
-        # paper-check and sweep always use the default one
+    def common(p, policy=False, fields=False):
+        # only analyze and kernel run the pipeline under a chosen policy, and
+        # only analyze sets single fields of it; paper-check and sweep always
+        # use the default one
         if policy:
             p.add_argument("--policy", help="@file.json numeric policy")
-            p.add_argument("--seed", type=_nonnegative_int, help="seed for random test vectors")
-            p.add_argument("--lmax", type=_positive_int, help="positivity probe depth")
-            p.add_argument("--ntrunc", type=_positive_int,
-                           help="truncation size for probes")
+        if fields:
+            p.add_argument("--seed", type=_INT, help="seed for random test vectors")
+            p.add_argument("--lmax", type=_INT, help="positivity probe depth")
+            p.add_argument("--ntrunc", type=_INT, help="truncation size for probes")
         p.add_argument("--out", help="write output to this path instead of stdout")
 
     p = sub.add_parser("analyze", help="full pipeline on one measure")
@@ -211,31 +198,31 @@ def make_parser() -> argparse.ArgumentParser:
                    help="also run the operator-level cross-check")
     p.add_argument("--exhaustive-psd", action="store_true",
                    help="do not short-circuit positivity probes")
-    common(p, policy=True)
+    common(p, policy=True, fields=True)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("paper-check",
                        help="regression-check the closed-form constants of "
                             "the three equi-spaced atom example")
-    p.add_argument("--rotate", type=_parse_turns,
+    p.add_argument("--rotate", type=_TURNS,
                    help="rotate the measure by this many turns")
-    p.add_argument("--weights", type=_parse_weights,
+    p.add_argument("--weights", type=_WEIGHTS,
                    help="comma-separated weights (default 1,1,1)")
     common(p)
     p.set_defaults(func=cmd_paper_check)
 
     p = sub.add_parser("sweep", help="grid sweep over three-atom configurations")
-    p.add_argument("--grid", type=_positive_int, default=12, help="angle grid size")
-    p.add_argument("--weights", type=_parse_weights, default=(1.0, 1.0, 1.0),
+    p.add_argument("--grid", type=_GRID, default=12, help="angle grid size")
+    p.add_argument("--weights", type=_WEIGHTS, default=(1.0, 1.0, 1.0),
                    help="w1,w2,w3 (default 1,1,1)")
     common(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("kernel", help="evaluate the reproducing kernels at a pair")
     p.add_argument("--measure", "-m", required=True)
-    p.add_argument("--z", required=True, type=_parse_point,
+    p.add_argument("--z", required=True, type=_POINT,
                    help="re,im of the first point")
-    p.add_argument("--lam", required=True, type=_parse_point,
+    p.add_argument("--lam", required=True, type=_POINT,
                    help="re,im of the second point")
     common(p, policy=True)
     p.set_defaults(func=cmd_kernel)

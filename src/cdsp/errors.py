@@ -43,7 +43,7 @@ class PolicyError(CdspError, ValueError):
 
 
 class ValidationError(CdspError):
-    """A measure violates its invariants (duplicate atoms, nonpositive weight, off-circle point)."""
+    """A measure violates its invariants (no atom, duplicate atoms, nonpositive weight, off-circle point)."""
 
 
 class RootOnCircle(CdspError):
@@ -64,7 +64,8 @@ class DegenerateAtom(CdspError):
 
 class IllConditioned(CdspError):
     """A computed quantity is not trustworthy: S on the unit-circle grid is not Hermitian, so
-    its coefficients do not refit it, or a positivity probe's moment truncation is not finite."""
+    its coefficients do not refit it, S at a root pair has no positive scale to be read
+    against, or a positivity probe's moment truncation is not finite."""
 
 
 class DegenerateAlphas(CdspError):

@@ -138,8 +138,8 @@ def measure_from_turns(turns: list, weights) -> Measure:
         weights = [float(w) for w in weights]
     except ValueError as exc:
         raise ParseError("bad weight") from exc
-    if len(turns) != len(weights) or not turns:
-        raise ParseError("turns and weights must have equal nonzero length")
+    if len(turns) != len(weights):
+        raise ParseError("turns and weights must have equal length")
     return _measure([_unit_from_turns(t) for t in turns], weights, turns)
 
 

@@ -30,7 +30,6 @@ INCONCLUSIVE = "Inconclusive"
 class PairEvidence(NamedTuple):
     r: int
     t: int
-    product: complex
     premise_ok: bool
     S_rt: complex
     normalized: float  # |S_rt| / sqrt(S[r, r] S[t, t])
@@ -60,28 +59,33 @@ class Verdict:
 
 
 def offdiag_sums(fr: FejerRiesz, S: np.ndarray) -> List[PairEvidence]:
-    """Evidence at the row-major pairs (r, t), r != t: the product alpha_r
-    conj(alpha_t), premise_ok iff it stays off the ray [1, inf), and the
-    root value S[r, t] = S(alpha_r, alpha_t) with its size relative to
-    sqrt(S[r, r] S[t, t]), as the zero test and the report read it."""
+    """Evidence at the row-major pairs (r, t), r != t: premise_ok iff the
+    product alpha_r conj(alpha_t) stays off the ray [1, inf), and the root
+    value S[r, t] = S(alpha_r, alpha_t) with its size relative to
+    sqrt(S[r, r] S[t, t]), as the zero test and the report read it.  That
+    scale must be positive, as S(alpha_r, alpha_r) = sum_j |p_j(alpha_r)|^2
+    is: a diagonal entry that is not, or a pair whose scale underflows,
+    raises IllConditioned."""
     alphas = fr.alphas
     k = len(alphas)
     offdiag = ~np.eye(k, dtype=bool)
     r, t = np.nonzero(offdiag)
-    # the scalar product's formula in real arithmetic: numpy's complex array
-    # multiply may fuse it and round alpha_r conj(alpha_t) differently
-    a, b = alphas[:, None], np.conj(alphas)[None, :]
-    prod = np.empty((k, k), dtype=complex)
-    prod.real = a.real * b.real - a.imag * b.imag
-    prod.imag = a.real * b.imag + a.imag * b.real
-    prod = prod[offdiag]
+    prod = (alphas[:, None] * np.conj(alphas[None, :]))[offdiag]
     on_ray = (np.abs(prod.imag) <= 1e-10) & (prod.real >= 1.0 - 1e-10)
-    diag = np.maximum(S.diagonal().real, 1e-300)
+    diag = S.diagonal().real
+    if not (diag > 0).all():
+        i = int(np.argmin(diag > 0))
+        raise IllConditioned(f"S(alpha_r, alpha_r) = {float(diag[i])!r} at root r = {i} "
+                             f"is not positive")
     scale = np.sqrt(diag[:, None] * diag[None, :])[offdiag]
+    if not (scale > 0).all():
+        i = int(np.argmin(scale > 0))
+        raise IllConditioned(f"sqrt(S(alpha_r, alpha_r) S(alpha_t, alpha_t)) underflows "
+                             f"to 0 at roots r = {r[i]}, t = {t[i]}")
     S_rt = S[offdiag].tolist()
     # Python's abs of a complex: numpy's rounds some moduli differently
     normalized = [abs(s) / d for s, d in zip(S_rt, scale.tolist())]
-    return list(map(PairEvidence, r.tolist(), t.tolist(), prod.tolist(), (~on_ray).tolist(),
+    return list(map(PairEvidence, r.tolist(), t.tolist(), (~on_ray).tolist(),
                     S_rt, normalized))
 
 

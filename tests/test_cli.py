@@ -132,14 +132,34 @@ class TestAnalyze:
     @pytest.mark.parametrize("flag", ["--lmax", "--ntrunc"])
     @pytest.mark.parametrize("value", ["0", "-3", "x"])
     def test_probe_sizes_must_be_positive(self, capsys, flag, value):
-        err = usage_error(capsys, "analyze", "-m", "0,1/3,2/3:1,1,1", flag, value)
-        assert f"argument {flag}: expected a positive integer, got '{value}'" in err
+        # a flag is parsed as an integer and bounded by the policy, as a
+        # policy file's value is: one check, one error line
+        argv = ("analyze", "-m", "0,1/3,2/3:1,1,1", flag, value)
+        if value == "x":
+            err = usage_error(capsys, *argv)
+            assert f"argument {flag}: expected an integer, got 'x'" in err
+            return
+        code, out, err = run(capsys, *argv)
+        field = {"--lmax": "l_max", "--ntrunc": "N_trunc"}[flag]
+        assert code == 2 and out == ""
+        assert err == f"error [PolicyError]: {field} must be an integer >= 1, got {value}\n"
 
     @pytest.mark.parametrize("value", ["-5", "x", "1.5"])
     def test_seed_must_be_nonnegative(self, capsys, value):
-        err = usage_error(capsys, "analyze", "-m", "0,1/3,2/3:1,1,1", "--oracle",
-                          "--seed", value)
-        assert f"argument --seed: expected a non-negative integer, got '{value}'" in err
+        argv = ("analyze", "-m", "0,1/3,2/3:1,1,1", "--oracle", "--seed", value)
+        if value == "-5":
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert err == "error [PolicyError]: seed must be an integer >= 0, got -5\n"
+            return
+        err = usage_error(capsys, *argv)
+        assert f"argument --seed: expected an integer, got '{value}'" in err
+
+    def test_flag_and_policy_file_give_one_error_line(self, capsys, tmp_path):
+        pol = tmp_path / "p.json"
+        pol.write_text(json.dumps({"l_max": 0}))
+        from_file = run(capsys, "analyze", "-m", "0:1", "--policy", f"@{pol}")
+        assert from_file == run(capsys, "analyze", "-m", "0:1", "--lmax", "0")
 
     def test_smallest_oracle_policy_runs(self, capsys, tmp_path):
         pol = tmp_path / "p.json"
@@ -369,7 +389,13 @@ class TestPaperCheck:
 
     def test_malformed_weights_name_argument(self, capsys):
         err = usage_error(capsys, "paper-check", "--weights", "a,1,1")
-        assert "argument --weights: expected comma-separated numbers, got 'a,1,1'" in err
+        assert "argument --weights: expected three comma-separated numbers, got 'a,1,1'" in err
+
+    @pytest.mark.parametrize("weights", ["1,2", "1,2,3,4"])
+    def test_weight_count_names_argument(self, capsys, weights):
+        # the paper's measure has three atoms
+        err = usage_error(capsys, "paper-check", "--weights", weights)
+        assert f"argument --weights: expected three comma-separated numbers, got '{weights}'" in err
 
     @pytest.mark.parametrize("turns", ["abc", "1/0", "nan", "inf"])
     def test_malformed_rotation_names_argument(self, capsys, turns):
@@ -451,12 +477,12 @@ class TestSweep:
         assert sum(bool(r["error"]) for r in rows) == (16 if weights[2] != weights[2] else 4)
 
     def test_bad_weight_count(self, capsys):
-        code, _, err = run(capsys, "sweep", "--grid", "2", "--weights", "1,2")
-        assert code == 2 and "three weights" in err
+        err = usage_error(capsys, "sweep", "--grid", "2", "--weights", "1,2")
+        assert "argument --weights: expected three comma-separated numbers, got '1,2'" in err
 
     def test_malformed_weights_name_argument(self, capsys):
         err = usage_error(capsys, "sweep", "--grid", "2", "--weights", "a,1,1")
-        assert "argument --weights: expected comma-separated numbers, got 'a,1,1'" in err
+        assert "argument --weights: expected three comma-separated numbers, got 'a,1,1'" in err
 
     def test_empty_grid_names_argument(self, capsys):
         err = usage_error(capsys, "sweep", "--grid", "0")
@@ -484,9 +510,8 @@ class TestKernel:
         assert rep["difference"] <= 1e-9
 
     def test_rejects_points_outside_disc(self, capsys):
-        code, _, err = run(capsys, "kernel", "-m", "0:1",
-                           "--z", "1.5,0.0", "--lam", "0.1,0.0")
-        assert code == 2 and "|z| < 1" in err
+        err = usage_error(capsys, "kernel", "-m", "0:1", "--z", "1.5,0.0", "--lam", "0.1,0.0")
+        assert "argument --z: expected 're,im' inside the unit disc, got '1.5,0.0'" in err
 
     def test_missing_measure_file(self, capsys, tmp_path):
         code, out, err = run(capsys, "kernel", "-m", f"@{tmp_path / 'none.json'}",
@@ -496,10 +521,15 @@ class TestKernel:
 
     @pytest.mark.parametrize("z, lam", [("nan,0", "0,0"), ("0,0", "0,inf")])
     def test_rejects_non_finite_points(self, capsys, z, lam):
-        code, out, err = run(capsys, "kernel", "-m", "0,1/3,2/3:1,1,1",
-                             "--z", z, "--lam", lam)
-        assert code == 2 and out == ""
-        assert "|z| < 1" in err
+        err = usage_error(capsys, "kernel", "-m", "0,1/3,2/3:1,1,1", "--z", z, "--lam", lam)
+        bad, text = ("--z", z) if z != "0,0" else ("--lam", lam)
+        assert f"argument {bad}: expected 're,im' inside the unit disc, got '{text}'" in err
+
+    @pytest.mark.parametrize("argv", [("--seed", "1"), ("--lmax", "1"), ("--ntrunc", "8")])
+    def test_takes_no_probe_options(self, capsys, argv):
+        # kernel runs no oracle and reads no probe
+        err = usage_error(capsys, "kernel", "-m", "0:1", "--z", "0,0", "--lam", "0,0", *argv)
+        assert f"unrecognized arguments: {' '.join(argv)}" in err
 
     @pytest.mark.parametrize("z, lam, bad", [("0.3", "0,0", "--z"),
                                              ("0.3,0.1", "x,0", "--lam"),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cdsp import measure as measure_mod
-from cdsp import parse_measure, rotate_measure
+from cdsp import measure_from_turns, parse_measure, rotate_measure
 from cdsp.errors import ParseError, ValidationError
 from cdsp.measure import MAX_TURNS_EXPONENT, MIN_CHORDAL_DISTANCE, _unit_from_turns, parse_turns
 from cdsp.report import measure_json, report_to_json
@@ -51,6 +51,16 @@ class TestParse:
     def test_malformed(self, bad):
         with pytest.raises(ParseError):
             parse_measure(bad)
+
+    @pytest.mark.parametrize("spec", [":", " : ", '{"atoms": []}', None])
+    def test_empty_measure_is_a_validation_error(self, spec):
+        # one check, in _measure, whatever form the measure comes in
+        with pytest.raises(ValidationError, match="^measure needs at least one atom$"):
+            measure_from_turns([], []) if spec is None else parse_measure(spec)
+
+    def test_unequal_lengths_are_a_parse_error(self):
+        with pytest.raises(ParseError, match="^turns and weights must have equal length$"):
+            measure_from_turns([Fraction(0)], [1.0, 2.0])
 
     @pytest.mark.parametrize("doc", [
         {"atoms": [{"turns": "0", "weight": "x"}]},
