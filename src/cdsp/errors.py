@@ -5,10 +5,6 @@ class CdspError(Exception):
     """Base class for all pipeline errors."""
 
 
-class NonConvergence(CdspError):
-    """An iterative solver exhausted its budget without meeting its residual target."""
-
-
 class NotARoot(CdspError):
     """Synthetic division attempted at a point that is not a root."""
 

@@ -64,8 +64,9 @@ def offdiag_sums(fr: FejerRiesz, S: np.ndarray) -> List[PairEvidence]:
     value S[r, t] = S(alpha_r, alpha_t) with its size relative to
     sqrt(S[r, r] S[t, t]), as the zero test and the report read it.  That
     scale must be positive, as S(alpha_r, alpha_r) = sum_j |p_j(alpha_r)|^2
-    is: a diagonal entry that is not, or a pair whose scale underflows,
-    raises IllConditioned."""
+    is, and finite: a diagonal entry that is not positive, a pair whose scale
+    underflows to 0 or overflows, or an S[r, t] that is not finite raises
+    IllConditioned."""
     alphas = fr.alphas
     k = len(alphas)
     offdiag = ~np.eye(k, dtype=bool)
@@ -77,12 +78,16 @@ def offdiag_sums(fr: FejerRiesz, S: np.ndarray) -> List[PairEvidence]:
         i = int(np.argmin(diag > 0))
         raise IllConditioned(f"S(alpha_r, alpha_r) = {float(diag[i])!r} at root r = {i} "
                              f"is not positive")
-    scale = np.sqrt(diag[:, None] * diag[None, :])[offdiag]
-    if not (scale > 0).all():
-        i = int(np.argmin(scale > 0))
-        raise IllConditioned(f"sqrt(S(alpha_r, alpha_r) S(alpha_t, alpha_t)) underflows "
-                             f"to 0 at roots r = {r[i]}, t = {t[i]}")
-    S_rt = S[offdiag].tolist()
+    with np.errstate(over="ignore"):
+        scale = np.sqrt(diag[:, None] * diag[None, :])[offdiag]
+    S_off = S[offdiag]
+    readable = (scale > 0) & np.isfinite(scale) & np.isfinite(S_off)
+    if not readable.all():
+        i = int(np.argmin(readable))
+        raise IllConditioned(f"S(alpha_r, alpha_t) = {complex(S_off[i])!r} has no finite size "
+                             f"against sqrt(S(alpha_r, alpha_r) S(alpha_t, alpha_t)) = "
+                             f"{float(scale[i])!r} at roots r = {r[i]}, t = {t[i]}")
+    S_rt = S_off.tolist()
     # Python's abs of a complex: numpy's rounds some moduli differently
     normalized = [abs(s) / d for s, d in zip(S_rt, scale.tolist())]
     return list(map(PairEvidence, r.tolist(), t.tolist(), (~on_ray).tolist(),

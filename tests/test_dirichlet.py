@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyder, polyval
 from hypothesis import given, settings, strategies as st
 
 from cdsp import (build_dirichlet, build_outer, eval_f, eval_S,
@@ -40,16 +41,16 @@ def coefficient_reference(dd):
     p = outer.c * ascending(pts)
     q = ascending(outer.alphas)
     deflated = [nx.synthetic_division(p, z) for z in pts]
-    qz = nx.poly_eval(q, pts)
-    fprime = np.array([nx.poly_eval(deflated[j], pts[j]) / qz[j] for j in range(k)])
-    qprime = nx.poly_derivative(q)
+    qz = polyval(pts, q)
+    fprime = np.array([polyval(pts[j], deflated[j]) / qz[j] for j in range(k)])
+    qprime = polyder(q)
     D = np.zeros((k, k), dtype=complex)
     for i in range(k):
         u = deflated[i] / fprime[i]
-        du = nx.poly_derivative(u)
+        du = polyder(u)
         z = pts[i]
-        fp = (nx.poly_eval(du, z) * qz[i]
-              - nx.poly_eval(u, z) * nx.poly_eval(qprime, z)) / qz[i] ** 2
+        fp = (polyval(z, du) * qz[i]
+              - polyval(z, u) * polyval(z, qprime)) / qz[i] ** 2
         D[i, i] = wts[i] * z * fp
         for j in range(k):
             if j != i:
@@ -59,11 +60,11 @@ def coefficient_reference(dd):
     W = np.conj(np.linalg.inv(D)) / np.outer(fprime, np.conj(fprime))
 
     def eval_S(z, u):
-        dz = np.array([nx.poly_eval(deflated[j], z) for j in range(k)])
-        du = np.array([nx.poly_eval(deflated[i], u) for i in range(k)])
+        dz = np.array([polyval(z, deflated[j]) for j in range(k)])
+        du = np.array([polyval(u, deflated[i]) for i in range(k)])
         cross = dz @ W @ np.conj(du)
-        return (nx.poly_eval(q, z) * np.conj(nx.poly_eval(q, u))
-                - nx.poly_eval(p, z) * np.conj(nx.poly_eval(p, u))
+        return (polyval(z, q) * np.conj(polyval(u, q))
+                - polyval(z, p) * np.conj(polyval(u, p))
                 - (1.0 - z * np.conj(u)) * cross)
 
     return fprime, D, eval_S

@@ -156,8 +156,21 @@ class TestOffdiag:
     def test_diagonal_without_scale_is_ill_conditioned(self, diag, where):
         # S(alpha_r, alpha_r) = sum_j |p_j(alpha_r)|^2 > 0: a zero entry
         # leaves |S_rt| no scale, and at 1e-170 the pair's scale underflows
+        self.assert_ill_conditioned(np.diag(diag) + 1e-9 * ~np.eye(2, dtype=bool), where)
+
+    @pytest.mark.parametrize("S, where", [
+        ([[1e200, 1e199], [1e199, 1e200]], "= inf at roots r = 0, t = 1"),
+        ([[1.0, 1e-12], [float("nan"), 1.0]], "at roots r = 1, t = 0"),
+        ([[1.0, float("nan")], [1e-12, 1.0]], "at roots r = 0, t = 1")])
+    def test_pair_without_finite_size_is_ill_conditioned(self, S, where):
+        # at 1e200 the pair's scale overflows; a NaN S_rt has no size, in
+        # either place, so the verdict cannot depend on the atoms' order
+        self.assert_ill_conditioned(S, where)
+
+    @staticmethod
+    def assert_ill_conditioned(S, where):
         fr = FejerRiesz(np.array([2.0 + 0j, 3.0j]), 1.0)
-        S = np.diag(diag).astype(complex) + 1e-9 * ~np.eye(2, dtype=bool)
+        S = np.array(S, dtype=complex)
         with pytest.raises(IllConditioned, match=where):
             offdiag_sums(fr, S)
         with pytest.raises(IllConditioned, match=where):
@@ -248,6 +261,37 @@ class TestMomentTruncation:
         fr = FejerRiesz(np.array([2.0 + 0j, 2.0 + 0j]), 1.0)
         with pytest.raises(DegenerateAlphas):
             moment_truncation(fr, np.ones((2, 2), dtype=complex), 1, 8)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(random_measures(k_max=8))
+    def test_spectrum_is_its_k_by_k_core(self, spec):
+        # V K_l V^H with V = QR has the spectrum of R K_l R^H, a min(N, k)
+        # square core, plus N - min(N, k) zeros
+        try:
+            pipe = Pipe(spec)
+        except CdspError:
+            assume(False)
+        S, alphas, psd_tol = S_of(pipe), pipe.fr.alphas, NumericPolicy().psd_tol
+        a = _diff_products(alphas)
+        kappa = S / np.outer(a, np.conj(a))
+        gamma = 1.0 - 1.0 / np.outer(alphas, np.conj(alphas))
+        k = len(alphas)
+        for N in sorted({max(k - 2, 1), k, 16, 64}):
+            V = (1.0 / alphas[None, :]) ** (np.arange(N)[:, None] + 2)
+            R = np.linalg.qr(V, mode="r")
+            for l in range(1, 17):
+                M = moment_truncation(pipe.fr, S, l, N)
+                core = R @ (kappa * gamma ** l) @ R.conj().T
+                core = 0.5 * (core + core.conj().T)
+                want = np.linalg.eigvalsh(M)
+                got = np.sort(np.r_[np.linalg.eigvalsh(core), np.zeros(N - min(N, k))])
+                tol = 1e-11 * np.max(np.abs(want))
+                assert np.max(np.abs(got - want)) <= tol, (N, l)
+                assert abs(np.trace(core).real - np.trace(M).real) <= tol, (N, l)
+                assert (PsdProbe(l, N, float(got[0]), float(np.trace(core).real))
+                        .violates(psd_tol)
+                        == PsdProbe(l, N, float(want[0]), float(np.trace(M).real))
+                        .violates(psd_tol)), (N, l)
 
     def test_exhaustive_collects_all_orders(self, three_point):
         probes = psd_search(three_point.fr, S_of(three_point), 6, 32,
