@@ -5,7 +5,7 @@ from .measure import Measure, measure_from_turns, parse_measure, rotate_measure
 from .policy import NumericPolicy
 from .fejer import TrigPoly, FejerRiesz, build_trig, factorize, verify_identity
 from .dirichlet import (DirichletData, OuterData, build_dirichlet, build_outer,
-                        eval_f, kernel_full, kernel_omu, kernel_perp)
+                        kernel_full, kernel_omu, kernel_perp)
 from .debranges import (HermForm, eval_S, eval_schur, extract_C, factor_P,
                         kernel_KB)
 from .verdict import (PairEvidence, PsdProbe, Verdict, decide,
@@ -17,7 +17,7 @@ __all__ = [
     "NumericPolicy",
     "TrigPoly", "FejerRiesz", "build_trig", "factorize", "verify_identity",
     "DirichletData", "OuterData", "build_dirichlet", "build_outer",
-    "eval_f", "kernel_full", "kernel_omu", "kernel_perp",
+    "kernel_full", "kernel_omu", "kernel_perp",
     "HermForm", "eval_S", "eval_schur", "extract_C", "factor_P",
     "kernel_KB",
     "PairEvidence", "PsdProbe", "Verdict", "decide", "moment_truncation",

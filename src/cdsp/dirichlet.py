@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nx
-from .errors import DegenerateAtom, PoleHit
+from .errors import DegenerateAtom
 from .fejer import FejerRiesz, omit_one
 from .measure import Measure
 
@@ -82,16 +82,9 @@ def build_dirichlet(m: Measure, fr: FejerRiesz) -> DirichletData:
     return DirichletData(m, outer, fprime, D, B, W, asym)
 
 
-def eval_f(dd: DirichletData, j: int, z) -> complex:
-    """Basis function f_j evaluated through its deflated numerator; finite
-    at z = zeta_j, raises PoleHit at the poles of the outer function."""
-    qv, _, pj = dd.outer.parts(z)
-    if np.min(np.abs(np.atleast_1d(qv))) < 1e-13:
-        raise PoleHit("evaluation at a pole of the outer function")
-    return pj[j] / (dd.fprime_at_zeta[j] * qv)
-
-
 def eval_f_vector(dd: DirichletData, z) -> np.ndarray:
+    """The basis functions f_1..f_k at z, through their deflated numerators,
+    so finite at the atoms."""
     qv, _, pj = dd.outer.parts(z)
     return pj / (dd.fprime_at_zeta * qv)
 

@@ -50,10 +50,6 @@ class PairingFailure(CdspError):
     """Roots could not be matched into reflection pairs (beta, 1/conj(beta))."""
 
 
-class PoleHit(CdspError):
-    """Evaluation requested at (or too near) a pole."""
-
-
 class DegenerateAtom(CdspError):
     """The outer function has a vanishing derivative at an atom."""
 

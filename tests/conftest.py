@@ -55,6 +55,23 @@ def equi_spaced(k, weight=1):
     return ",".join(f"{i}/{k}" for i in range(k)) + ":" + ",".join([str(weight)] * k)
 
 
+def seeded_measure(seed, k, log_weights=False):
+    """k atoms at n/997 turns with chords >= 0.1, weights in [0.25, 4]: uniform
+    and written in full, or log-uniform and written to 6 digits.  ``seed`` may
+    be a generator, which the draw moves on."""
+    rng = np.random.default_rng(seed)
+    while True:
+        n = np.sort(rng.choice(997, size=k, replace=False))
+        gaps = np.diff(np.r_[n, n[0] + 997]) / 997
+        if 2.0 * np.sin(np.pi * gaps.min()) >= 0.1:
+            break
+    if log_weights:
+        w = [f"{x:.6g}" for x in np.exp(rng.uniform(np.log(0.25), np.log(4.0), k))]
+    else:
+        w = [repr(float(x)) for x in rng.uniform(0.25, 4.0, k)]
+    return ",".join(f"{x}/997" for x in n) + ":" + ",".join(w)
+
+
 @st.composite
 def random_measures(draw, k_max=5, k_min=2):
     """k = k_min..k_max atoms at n/997 turns, chords >= 0.1, weights in [0.25, 4]."""

@@ -9,10 +9,10 @@ import sys
 import time
 from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
 import pytest
 
+import mpref
 from conftest import gram_quadrature
 from cdsp import (NumericPolicy, build_dirichlet, build_trig, extract_C,
                   factorize, parse_measure, rotate_measure)
@@ -126,14 +126,9 @@ def test_criterion_4_main_counterexample():
         assert all(ev.premise_ok for ev in v.pair_evidence)
         assert v.max_offdiag_norm > policy.zero_reject
         assert v.max_offdiag_norm > 1e-2
-        # raw off-diagonal value against a 30-digit closed-form evaluation
-        mp.mp.dps = 30
-        bm = (11 + 3 * mp.sqrt(13)) / 2
-        xm = (mp.sqrt(13) - 1) / 2
-        cs = ((1 - bm) + 3 * bm / (xm + 1), bm, 3 * bm / (xm * (xm - 1)))
-        alpha = mp.cbrt(bm)
-        t = alpha * mp.conj(alpha * mp.exp(2j * mp.pi / 3))
-        expect = abs(complex(cs[0] * t ** 3 + cs[1] * t ** 2 + cs[2] * t))
+        # raw off-diagonal value S(alpha, alpha w) against the 40-digit shadow,
+        # which tests/test_shadow.py checks against the paper's closed forms
+        expect = abs(complex(mpref.shadow(THREE).S[0, 1]))
         alpha_f = fr.alphas[int(np.argmin(np.abs(np.angle(fr.alphas))))]
         aw = alpha_f * W
         got = abs(eval_S(dd, [alpha_f], [aw])[0, 0])

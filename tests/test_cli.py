@@ -1,7 +1,9 @@
 import csv
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -563,3 +565,16 @@ class TestPolicy:
     def test_round_trip(self):
         pol = NumericPolicy(l_max=3, N_trunc=16)
         assert NumericPolicy.from_json(json.dumps(pol.to_dict())) == pol
+
+
+def test_analyze_loads_neither_mpmath_nor_numpy_polynomial():
+    # mpmath is a test dependency, and numpy.polynomial would grow every run's resident set
+    code = ("import sys; from cdsp.cli import main; "
+            "main(['analyze', '-m', '0,1/3,2/3:1,1,1', '--oracle', '--exhaustive-psd']); "
+            "print(sorted(m for m in sys.modules if m.startswith(('mpmath', 'numpy.polynomial'))),"
+            " file=sys.stderr)")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": path})
+    assert run.stderr == "[]\n"

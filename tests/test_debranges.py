@@ -13,8 +13,9 @@ from cdsp.debranges import eval_S, eval_schur, extract_C, factor_P, kernel_KB
 from cdsp.dirichlet import OuterData, kernel_full
 from cdsp.errors import CdspError, IllConditioned, NotPSD
 from cdsp.report import analyze
-from conftest import (ALPHA_CONST, B_CONST, SPECS, W_CONST, X_CONST, S_at, equi_spaced,
-                      random_measures)
+import mpref
+from conftest import (ALPHA_CONST, SPECS, W_CONST, S_at, equi_spaced, random_measures,
+                      seeded_measure)
 
 
 def eval_S_from_P(P: np.ndarray, z, u):
@@ -34,72 +35,6 @@ def schur_sup_bound(dd, hf, radius: float = 0.999, n: int = 512) -> float:
     return float(np.max(vals))
 
 
-def closed_form_S_mp():
-    """30+ digit reference for the three equi-spaced unit-weight atoms:
-    S(z,u) = c3 (z conj(u))^3 + c2 (z conj(u))^2 + c1 (z conj(u))."""
-    mp.mp.dps = 40
-    b = (11 + 3 * mp.sqrt(13)) / 2
-    x = (mp.sqrt(13) - 1) / 2
-    c3 = (1 - b) + 3 * b / (x + 1)
-    c2 = b
-    c1 = 3 * b / (x * (x - 1))
-    return b, x, (c1, c2, c3)
-
-
-def eval_S_mp(dd, d, zs, us):
-    """S on the grid zs x us at mpmath's working precision, as a list of
-    rows, from the pipeline's atoms, exterior roots, d and inverse Gram B;
-    the phase of O cancels in S."""
-    zetas = [mp.mpc(x) for x in dd.outer.zetas]
-    alphas = [mp.mpc(x) for x in dd.outer.alphas]
-    k, c = len(zetas), 1 / mp.sqrt(mp.mpf(d))
-
-    def omit(x, j):
-        return c * mp.fprod(x - zl for l, zl in enumerate(zetas) if l != j)
-
-    def q(x):
-        return mp.fprod(x - a for a in alphas)
-
-    def parts(x):
-        x = mp.mpc(x)
-        return x, q(x), c * mp.fprod(x - zl for zl in zetas), [omit(x, j) for j in range(k)]
-
-    # O'(zeta_j) = p_j(zeta_j) / q(zeta_j)
-    op = [omit(zj, j) / q(zj) for j, zj in enumerate(zetas)]
-    W = [[mp.conj(mp.mpc(dd.B[j, i])) / (op[j] * mp.conj(op[i])) for i in range(k)]
-         for j in range(k)]
-    rows, u_parts = [], [parts(u) for u in us]
-    for z, qz, pz, dz in map(parts, zs):
-        dzW = [mp.fsum(dz[j] * W[j][i] for j in range(k)) for i in range(k)]
-        rows.append([qz * mp.conj(qu) - pz * mp.conj(pu)
-                     - (1 - z * mp.conj(u)) * mp.fsum(a * mp.conj(b) for a, b in zip(dzW, du))
-                     for u, qu, pu, du in u_parts])
-    return rows
-
-
-def dft_C_mp(dd, d):
-    """C at mpmath's working precision: the unit-circle DFT of eval_S_mp,
-    C = V^H S_grid V / k^2 with V[a, m-1] = node_a^m."""
-    k = dd.measure.k
-    nodes = [mp.expj(2 * mp.pi * a / k + mp.mpf("0.37")) for a in range(k)]
-    V = mp.matrix([[z ** m for m in range(1, k + 1)] for z in nodes])
-    S = mp.matrix(eval_S_mp(dd, d, nodes, nodes))
-    C = V.H * S * V / k ** 2
-    return np.array([[complex(C[i, j]) for j in range(k)] for i in range(k)])
-
-
-def seeded_measure(seed, k):
-    """k atoms at n/997 turns with chords >= 0.1, weights in [0.25, 4]."""
-    rng = np.random.default_rng(seed)
-    while True:
-        n = np.sort(rng.choice(997, size=k, replace=False))
-        gaps = np.diff(np.append(n, n[0] + 997)) / 997
-        if 2.0 * np.sin(np.pi * gaps.min()) >= 0.1:
-            break
-    w = rng.uniform(0.25, 4.0, size=k)
-    return ",".join(f"{x}/997" for x in n) + ":" + ",".join(repr(float(x)) for x in w)
-
-
 class TestEvalS:
     def test_vanishes_on_diagonal_u_zero(self, pipes):
         for pipe in pipes.values():
@@ -115,16 +50,13 @@ class TestEvalS:
                     np.conj(S_at(pipe.dd, u, z)), abs=1e-8)
 
     def test_three_point_closed_form_high_precision(self, three_point):
-        # brute-force oracle at 40 digits against the rational evaluation
-        b, x, (c1, c2, c3) = closed_form_S_mp()
-        w = mp.exp(2j * mp.pi / 3)
-        alpha = mp.cbrt(b)
-        for zz, uu in ((alpha, alpha * w), (alpha * w, alpha * w ** 2),
-                       (mp.mpc("0.3", "0.4"), mp.mpc("-1.2", "0.1"))):
-            t = zz * mp.conj(uu)
-            expect = c3 * t ** 3 + c2 * t ** 2 + c1 * t
-            got = S_at(three_point.dd, complex(zz), complex(uu))
-            assert abs(got - complex(expect)) < 1e-8 * max(1.0, abs(complex(expect)))
+        # the paper's closed form at 40 digits against the rational evaluation,
+        # at (alpha, alpha w), (alpha w, alpha w^2) and one pair off the roots
+        S, a = mpref.three_point()["S"], three_point.fr.alphas
+        for z, u in ((a[0], a[1]), (a[1], a[2]), (0.3 + 0.4j, -1.2 + 0.1j)):
+            with mp.workdps(mpref.DPS):
+                expect = complex(S(mp.mpc(z), mp.mpc(u)))
+            assert abs(S_at(three_point.dd, z, u) - expect) < 1e-8 * max(1.0, abs(expect))
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(random_measures())
@@ -136,10 +68,9 @@ class TestEvalS:
         except CdspError:
             assume(False)
         disc = np.array([0.0, 0.5, -0.3 + 0.6j, 0.7j - 0.2])
-        mp.mp.dps = 40
         for pts in (fr.alphas, disc):
             got = eval_S(dd, pts, pts)
-            want = np.array(eval_S_mp(dd, fr.d, pts, pts), dtype=complex)
+            want = mpref.eval_S_mp(dd, fr.d, pts, pts)
             assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("k", [16, 32, 64])
@@ -152,11 +83,11 @@ class TestEvalS:
         dd = build_dirichlet(m, fr)
         nodes = np.exp(2j * np.pi * np.arange(k) / k + 0.37j)
         idx = [0, 1, k // 3, k - 1]
-        with mp.workdps(40):
-            for pts in (fr.alphas, nodes):
-                got = eval_S(dd, pts, pts)[np.ix_(idx, idx)]
-                want = np.array(eval_S_mp(dd, fr.d, pts[idx], pts[idx]), dtype=complex)
-                assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+        for pts in (fr.alphas, nodes):
+            got = eval_S(dd, pts, pts)[np.ix_(idx, idx)]
+            sub = pts[idx]
+            want = mpref.eval_S_mp(dd, fr.d, sub, sub)
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
     def test_magnitude_at_adjacent_exterior_roots(self, three_point):
         # |S(alpha, alpha w)| ~ 2.158e2
@@ -205,7 +136,7 @@ class TestEvalS:
 class TestExtractC:
     def test_three_point_diagonal(self, three_point):
         hf = three_point.hf
-        b, x, (c1, c2, c3) = closed_form_S_mp()
+        c1, c2, c3 = mpref.three_point()["c"]
         assert hf.C[0, 0].real == pytest.approx(float(c1), rel=1e-9)
         assert hf.C[1, 1].real == pytest.approx(float(c2), rel=1e-9)
         assert hf.C[2, 2].real == pytest.approx(float(c3), rel=1e-9)
@@ -235,8 +166,7 @@ class TestExtractC:
         m = parse_measure(spec)
         fr = factorize(m)
         dd = build_dirichlet(m, fr)
-        mp.mp.dps = 40
-        want = dft_C_mp(dd, fr.d)
+        want = mpref.dft_C_mp(dd, fr.d)
         got = extract_C(dd).C
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 

@@ -1,14 +1,11 @@
 import numpy as np
 import pytest
-from numpy.polynomial.polynomial import polyder, polyval
 from hypothesis import given, settings, strategies as st
 
-from cdsp import (build_dirichlet, build_outer, eval_f, eval_S,
-                  factorize, kernel_full, kernel_omu, kernel_perp, parse_measure)
-from cdsp import numerics as nx
-from cdsp.errors import PoleHit
+from cdsp import build_outer, factorize, kernel_full, kernel_omu, kernel_perp, parse_measure
+from cdsp.dirichlet import eval_f_vector
 from cdsp.oracle import monomial_gram
-from conftest import ALPHA_CONST, B_CONST, W_CONST, X_CONST, equi_spaced, random_measures
+from conftest import B_CONST, W_CONST, X_CONST, equi_spaced, random_measures
 
 
 def ascending(roots) -> np.ndarray:
@@ -29,66 +26,6 @@ def taylor_coeffs(dd, j, deg):
     pj = dd.outer.c * ascending(np.delete(dd.outer.zetas, j))
     num = pj / dd.fprime_at_zeta[j]
     return np.convolve(num, inv)[: deg + 1]
-
-
-def coefficient_reference(dd):
-    """The coefficient path the product form replaced: p and q multiplied
-    out, p deflated by synthetic division at each atom, O' and the Gram
-    diagonal by the quotient rule, S by Horner evaluation. Returns
-    (O'(zeta_j), D, eval_S)."""
-    outer, k = dd.outer, dd.measure.k
-    pts, wts = outer.zetas, np.array(dd.measure.weights)
-    p = outer.c * ascending(pts)
-    q = ascending(outer.alphas)
-    deflated = [nx.synthetic_division(p, z) for z in pts]
-    qz = polyval(pts, q)
-    fprime = np.array([polyval(pts[j], deflated[j]) / qz[j] for j in range(k)])
-    qprime = polyder(q)
-    D = np.zeros((k, k), dtype=complex)
-    for i in range(k):
-        u = deflated[i] / fprime[i]
-        du = polyder(u)
-        z = pts[i]
-        fp = (polyval(z, du) * qz[i]
-              - polyval(z, u) * polyval(z, qprime)) / qz[i] ** 2
-        D[i, i] = wts[i] * z * fp
-        for j in range(k):
-            if j != i:
-                D[i, j] = 1.0 / (fprime[i] * np.conj(fprime[j])
-                                 * (1.0 - z * np.conj(pts[j])))
-    D = 0.5 * (D + D.conj().T)
-    W = np.conj(np.linalg.inv(D)) / np.outer(fprime, np.conj(fprime))
-
-    def eval_S(z, u):
-        dz = np.array([polyval(z, deflated[j]) for j in range(k)])
-        du = np.array([polyval(u, deflated[i]) for i in range(k)])
-        cross = dz @ W @ np.conj(du)
-        return (polyval(z, q) * np.conj(polyval(u, q))
-                - polyval(z, p) * np.conj(polyval(u, p))
-                - (1.0 - z * np.conj(u)) * cross)
-
-    return fprime, D, eval_S
-
-
-def seeded_random_specs(seed, ks):
-    """Atoms at n/997 turns with chords >= 0.1, log-uniform weights in [0.25, 4]."""
-    rng = np.random.default_rng(seed)
-    specs = []
-    for k in ks:
-        while True:
-            n = np.sort(rng.choice(997, size=k, replace=False))
-            gaps = np.diff(np.r_[n, n[0] + 997]) / 997
-            if 2.0 * np.sin(np.pi * gaps.min()) >= 0.1:
-                break
-        w = np.exp(rng.uniform(np.log(0.25), np.log(4.0), k))
-        specs.append(",".join(f"{x}/997" for x in n) + ":"
-                     + ",".join(f"{x:.6g}" for x in w))
-    return specs
-
-
-REFERENCE_SPECS = (["0,1/3,2/3:1,1,1", "0,1/2:1,1", "0,1/4:1,1",
-                    ",".join(f"{i}/8" for i in range(8)) + ":" + ",".join(["1"] * 8)]
-                   + seeded_random_specs(5, (2, 3, 4, 5, 6, 7, 8)))
 
 
 class TestOuter:
@@ -153,7 +90,7 @@ class TestBasisFunctions:
         for z in (0.3, -0.2 + 0.1j, 0.5j):
             expect = ((1 - B_CONST) * (z - w) * (z - w ** 2)
                       / (3 * (z ** 3 - B_CONST)))
-            assert eval_f(dd, i1, z) == pytest.approx(expect, rel=1e-9)
+            assert eval_f_vector(dd, z)[i1] == pytest.approx(expect, rel=1e-9)
 
     def test_cardinal_values_at_atoms(self, pipes):
         for pipe in pipes.values():
@@ -161,7 +98,7 @@ class TestBasisFunctions:
             for j in range(pipe.measure.k):
                 for i in range(pipe.measure.k):
                     expect = 1.0 if i == j else 0.0
-                    assert eval_f(pipe.dd, j, pts[i]) == pytest.approx(
+                    assert eval_f_vector(pipe.dd, pts[i])[j] == pytest.approx(
                         expect, abs=1e-9)
 
     def test_limit_matches_nearby_values(self, three_point):
@@ -169,13 +106,9 @@ class TestBasisFunctions:
         dd = three_point.dd
         pts = np.array(three_point.measure.points)
         z = pts[0]
-        inner = eval_f(dd, 0, z * (1 - 1e-6))
-        outer = eval_f(dd, 0, z * (1 + 1e-6))
+        inner = eval_f_vector(dd, z * (1 - 1e-6))[0]
+        outer = eval_f_vector(dd, z * (1 + 1e-6))[0]
         assert abs(inner - 1.0) < 1e-4 and abs(outer - 1.0) < 1e-4
-
-    def test_pole_hit(self, three_point):
-        with pytest.raises(PoleHit):
-            eval_f(three_point.dd, 0, three_point.fr.alphas[0])
 
 
 class TestGram:
@@ -272,22 +205,7 @@ class TestKernels:
         pipe = pipes["single"]
         dd = pipe.dd
         z, lam = 0.3 + 0.1j, -0.2 + 0.25j
-        f1z = eval_f(dd, 0, z)
-        f1l = eval_f(dd, 0, lam)
+        f1z = eval_f_vector(dd, z)[0]
+        f1l = eval_f_vector(dd, lam)[0]
         expect = f1z * np.conj(f1l) / dd.D[0, 0].real
         assert kernel_perp(dd, z, lam) == pytest.approx(expect, rel=1e-10)
-
-
-class TestCoefficientReference:
-    @pytest.mark.parametrize("spec", REFERENCE_SPECS)
-    def test_product_form_matches_coefficient_path(self, spec):
-        m = parse_measure(spec)
-        fr = factorize(m)
-        dd = build_dirichlet(m, fr)
-        fprime, D, ref_S = coefficient_reference(dd)
-        scale = np.max(np.abs(dd.D))
-        assert np.max(np.abs(dd.fprime_at_zeta - fprime)) <= 1e-10 * scale
-        assert np.max(np.abs(dd.D - D)) <= 1e-10 * scale
-        got = eval_S(dd, fr.alphas, fr.alphas)
-        want = np.array([[ref_S(a, b) for b in fr.alphas] for a in fr.alphas])
-        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))

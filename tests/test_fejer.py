@@ -1,6 +1,5 @@
 from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,51 +8,7 @@ from cdsp import (NumericPolicy, PipelineResult, build_trig, factorize, parse_me
                   rotate_measure, verify_identity)
 from cdsp.errors import IdentityResidual, RootOnCircle
 from cdsp.fejer import omit_one
-from conftest import ALPHA_CONST, B_CONST, equi_spaced, random_measures
-
-
-def coefficient_roots(m):
-    """Independent reference: the exterior roots of the Laurent coefficients
-    of T, taken by numpy's companion-matrix solver."""
-    roots = np.roots(build_trig(m).t[::-1])
-    return roots[np.abs(roots) > 1.0]
-
-
-def d_mp(m, alphas):
-    """d at mpmath's working precision: Newton-polish the exterior roots of
-    z^k T(z) = prod_j (z - zeta_j)(1 - conj(zeta_j) z)
-             + z sum_j c_j prod_{i != j} (z - zeta_i)(1 - conj(zeta_i) z)
-    and take the quotient T / prod |z - alpha_j|^2 at a circle point."""
-    def mul(p, q):
-        out = [mp.mpc(0)] * (len(p) + len(q) - 1)
-        for i, a in enumerate(p):
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-        return out
-
-    zetas = [mp.mpc(z) for z in m.points]
-    # ascending coefficients of (z - zeta)(1 - conj(zeta) z)
-    quad = [[-zt, 1 + abs(zt) ** 2, -mp.conj(zt)] for zt in zetas]
-    poly = [mp.mpc(1)]
-    for q in quad:
-        poly = mul(poly, q)
-    for j, c in enumerate(m.weights):
-        rest = [mp.mpc(0), mp.mpc(c)]
-        for i, q in enumerate(quad):
-            if i != j:
-                rest = mul(rest, q)
-        poly = [a + b for a, b in zip(poly, rest + [mp.mpc(0)])]
-    desc = poly[::-1]
-    roots = []
-    for a in alphas:
-        a = mp.mpc(a)
-        for _ in range(8):
-            val, der = mp.polyval(desc, a, derivative=True)
-            a -= val / der
-        roots.append(a)
-    z = mp.expjpi(mp.mpf("0.246"))
-    t = mp.polyval(desc, z) / z ** m.k
-    return mp.re(t) / mp.fprod(abs(z - a) ** 2 for a in roots)
+from conftest import ALPHA_CONST, B_CONST, equi_spaced
 
 
 def nearest_gap(got, want):
@@ -159,26 +114,6 @@ class TestFactorize:
         got = sorted(fr_rot.alphas, key=np.angle)
         assert np.allclose(rotated, got, atol=1e-9)
         assert fr_rot.d == pytest.approx(fr.d, rel=1e-9)
-
-    @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(random_measures(k_max=8))
-    def test_matches_coefficient_roots(self, spec):
-        m = parse_measure(spec)
-        fr = factorize(m)
-        ref = coefficient_roots(m)
-        assert len(ref) == m.k
-        assert nearest_gap(fr.alphas, ref) <= 1e-8
-        assert nearest_gap(ref, fr.alphas) <= 1e-8
-        assert verify_identity(m, fr) <= 1e-11
-
-    @settings(max_examples=20, deadline=None, derandomize=True)
-    @given(random_measures(k_max=8))
-    def test_constant_matches_40_digits(self, spec):
-        m = parse_measure(spec)
-        fr = factorize(m)
-        with mp.workdps(40):
-            want = d_mp(m, fr.alphas)
-            assert abs(fr.d - want) <= 1e-13 * want
 
     def test_root_on_circle_rejected(self):
         # weight 1e-14 puts the roots of |z-1|^2 + 1e-14 about 1e-7 either side of the circle

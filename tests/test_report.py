@@ -11,7 +11,7 @@ from cdsp import NumericPolicy, debranges, fejer, parse_measure, report
 from cdsp.cli import main
 from cdsp.errors import NotPSD
 from cdsp.report import PipelineResult, analyze, report_to_json
-from conftest import equi_spaced
+from conftest import equi_spaced, seeded_measure
 
 SPECIAL_FLOATS = [0.0, -0.0, float("nan"), float("inf"), float("-inf"),
                   5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
@@ -323,22 +323,6 @@ class TestTemplatePaths:
             assert report_to_json(wrapped) == json.dumps(wrapped, indent=2, default=re_im)
 
 
-def _equi(k):
-    return ",".join(f"{i}/{k}" for i in range(k)) + ":" + ",".join(["1"] * k)
-
-
-def _random_spec(seed, k):
-    """k atoms at n/997 turns with chords >= 0.1 and weights in [0.25, 4]."""
-    rng = np.random.default_rng(seed)
-    while True:
-        n = np.sort(rng.choice(997, size=k, replace=False))
-        gaps = np.diff(np.r_[n, n[0] + 997]) / 997
-        if 2.0 * np.sin(np.pi * gaps.min()) >= 0.1:
-            break
-    w = rng.uniform(0.25, 4.0, k)
-    return ",".join(f"{x}/997" for x in n) + ":" + ",".join(repr(float(x)) for x in w)
-
-
 # turns, angle and point atoms: the report writes the last two as their
 # points, so its atom records mix shapes and carry complex values
 MIXED_ATOMS = json.dumps({"atoms": [
@@ -349,12 +333,12 @@ MIXED_ATOMS = json.dumps({"atoms": [
 @pytest.mark.parametrize("spec, kwargs", [
     ("0,1/3,2/3:1,1,1", {"with_oracle": True, "exhaustive_psd": True}),
     ("0,1/2:1,1", {}),
-    (_equi(8), {}),
-    (_equi(16), {}),
-    (_equi(32), {}),
-    (_equi(10), {}),
-    (_random_spec(7, 7), {}),
-    (_random_spec(11, 8), {}),
+    (equi_spaced(8), {}),
+    (equi_spaced(16), {}),
+    (equi_spaced(32), {}),
+    (equi_spaced(10), {}),
+    (seeded_measure(7, 7), {}),
+    (seeded_measure(11, 8), {}),
     (MIXED_ATOMS, {"with_oracle": True}),
 ], ids=["ref3-oracle-exhaustive", "antipodal", "equi8", "equi16", "equi32", "equi10",
         "random7", "random8", "mixed-atoms"])
