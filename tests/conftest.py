@@ -40,8 +40,6 @@ def policy():
 # closed-form constants for the equi-spaced three-point unit-weight case
 _REF = closed_form_constants()
 B_CONST = _REF["b"]
-ALPHA_CONST = _REF["alpha"]
-X_CONST = _REF["x"]
 W_CONST = _REF["w"]
 
 

@@ -190,26 +190,22 @@ def test_criterion_7_operator_oracle():
 
 def test_criterion_8_symmetry_suite():
     with Criterion(8, 5.0):
-        base_spec = "0,1/3,2/3:1,2,0.5"
-        _, fr0, dd0 = pipeline(base_spec)
-        v0 = decide(fr0, eval_S(dd0, fr0.alphas, fr0.alphas), NumericPolicy())
-        rng = np.random.default_rng(99)
-        m_base = parse_measure(base_spec)
-        for _ in range(10):
-            turns = Fraction(int(rng.integers(1, 10_000)), 10_007)
-            m = rotate_measure(m_base, turns)
-            _, fr, dd = pipeline(m)
-            v = decide(fr, eval_S(dd, fr.alphas, fr.alphas), NumericPolicy())
-            assert v.decision == v0.decision
-            assert abs(v.max_offdiag_norm - v0.max_offdiag_norm) <= 1e-8
-        for perm in ((1, 2, 0), (2, 0, 1), (0, 2, 1)):
-            idx = np.array(perm)
-            m = Measure(m_base.points[idx], m_base.weights[idx],
-                        tuple(m_base.turns[i] for i in perm))
-            _, fr, dd = pipeline(m)
-            v = decide(fr, eval_S(dd, fr.alphas, fr.alphas), NumericPolicy())
-            assert v.decision == v0.decision
-            assert abs(v.max_offdiag_norm - v0.max_offdiag_norm) <= 1e-8
+        for base_spec in ("0,1/3,2/3:1,2,0.5", THREE):
+            _, fr0, dd0 = pipeline(base_spec)
+            v0 = decide(fr0, eval_S(dd0, fr0.alphas, fr0.alphas), NumericPolicy())
+            rng = np.random.default_rng(99)
+            m_base = parse_measure(base_spec)
+            moved = [rotate_measure(m_base, Fraction(int(rng.integers(1, 10_000)), 10_007))
+                     for _ in range(10)]
+            for perm in ((1, 2, 0), (2, 0, 1), (0, 2, 1)):
+                idx = np.array(perm)
+                moved.append(Measure(m_base.points[idx], m_base.weights[idx],
+                                     tuple(m_base.turns[i] for i in perm)))
+            for m in moved:
+                _, fr, dd = pipeline(m)
+                v = decide(fr, eval_S(dd, fr.alphas, fr.alphas), NumericPolicy())
+                assert v.decision == v0.decision
+                assert abs(v.max_offdiag_norm - v0.max_offdiag_norm) <= 1e-8 * v0.max_offdiag_norm
 
 
 def test_criterion_9_psd_probe_soundness():

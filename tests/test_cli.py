@@ -370,15 +370,18 @@ class TestPaperCheck:
         assert statuses["factorization_identity"] == "PASS"
         assert statuses["verdict_not_subnormal"] == "PASS"
 
+    # a residual just over identity_tol (1e-9): the run still reads the
+    # factorization, so only the identity item fails
     def test_identity_failure_is_reported(self, capsys, monkeypatch):
         from cdsp import fejer
-        monkeypatch.setattr(fejer, "verify_identity", lambda m, fr: 1e-6)
+        monkeypatch.setattr(fejer, "verify_identity", lambda m, fr: 2e-9)
         code, out, err = run(capsys, "paper-check")
-        assert code == 1
-        items = {it["name"]: it for it in json.loads(out)["items"]}
+        rep = json.loads(out)
+        assert code == 1 and rep["all_passed"] is False
+        items = {it["name"]: it for it in rep["items"]}
         assert len(items) == 13
-        assert items["factorization_identity"]["status"] == "FAIL"
-        assert items["factorization_identity"]["detail"] == "residual=1e-06"
+        assert items["factorization_identity"] == {
+            "name": "factorization_identity", "status": "FAIL", "detail": "residual=2e-09"}
         assert all(it["status"] == "PASS" for name, it in items.items()
                    if name != "factorization_identity")
         assert "FAIL  factorization_identity" in err

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from cdsp import build_outer, factorize, kernel_full, kernel_omu, kernel_perp, parse_measure
 from cdsp.dirichlet import eval_f_vector
 from cdsp.oracle import monomial_gram
-from conftest import B_CONST, W_CONST, X_CONST, equi_spaced, random_measures
+from conftest import B_CONST, W_CONST, equi_spaced, random_measures
 
 
 def ascending(roots) -> np.ndarray:
@@ -112,41 +112,6 @@ class TestBasisFunctions:
 
 
 class TestGram:
-    def test_three_point_constants(self, three_point):
-        dd = three_point.dd
-        assert np.allclose(np.abs(dd.fprime_at_zeta), 1.0, atol=1e-10)
-        assert np.allclose(np.diag(dd.D).real, X_CONST, atol=1e-10)
-        assert np.allclose(np.diag(dd.D).imag, 0.0, atol=1e-12)
-        pts = np.array(three_point.measure.points)
-        i1 = int(np.argmin(np.abs(pts - 1.0)))
-        iw = int(np.argmin(np.abs(pts - W_CONST)))
-        assert dd.D[i1, iw] == pytest.approx(1.0 / (W_CONST - 1.0), abs=1e-10)
-
-    def test_outer_derivative_rotation_relations(self, three_point):
-        dd = three_point.dd
-        pts = np.array(three_point.measure.points)
-        i1 = int(np.argmin(np.abs(pts - 1.0)))
-        iw = int(np.argmin(np.abs(pts - W_CONST)))
-        iw2 = int(np.argmin(np.abs(pts - W_CONST ** 2)))
-        o1 = dd.fprime_at_zeta[i1]
-        assert dd.fprime_at_zeta[iw] == pytest.approx(W_CONST ** 2 * o1, abs=1e-10)
-        assert dd.fprime_at_zeta[iw2] == pytest.approx(W_CONST * o1, abs=1e-10)
-
-    def test_three_point_determinant_and_inverse(self, three_point):
-        dd = three_point.dd
-        det = float(np.prod(np.linalg.eigvalsh(dd.D)))
-        expect_det = X_CONST * (X_CONST ** 2 - 1)
-        assert det == pytest.approx(expect_det, rel=1e-9)
-        s = 1.0 / (W_CONST - 1.0)
-        denom = expect_det
-        assert np.allclose(np.diag(dd.B),
-                           (X_CONST ** 2 - 1.0 / 3.0) / denom, atol=1e-9)
-        pts = np.array(three_point.measure.points)
-        i1 = int(np.argmin(np.abs(pts - 1.0)))
-        iw = int(np.argmin(np.abs(pts - W_CONST)))
-        assert dd.B[i1, iw] == pytest.approx(
-            (np.conj(s) ** 2 - X_CONST * s) / denom, abs=1e-9)
-
     def test_positive_definite_everywhere(self, pipes):
         for pipe in pipes.values():
             assert np.min(np.linalg.eigvalsh(pipe.dd.D)) > 0

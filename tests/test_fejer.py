@@ -8,7 +8,7 @@ from cdsp import (NumericPolicy, PipelineResult, build_trig, factorize, parse_me
                   rotate_measure, verify_identity)
 from cdsp.errors import IdentityResidual, RootOnCircle
 from cdsp.fejer import omit_one
-from conftest import ALPHA_CONST, B_CONST, equi_spaced
+from conftest import equi_spaced
 
 
 def nearest_gap(got, want):
@@ -37,26 +37,11 @@ def sampled_coefficients(m, k):
 
 
 class TestBuildTrig:
-    def test_three_point(self):
-        m = parse_measure("0,1/3,2/3:1,1,1")
-        t = build_trig(m)
-        assert t.coeff(0) == pytest.approx(11.0, abs=1e-12)
-        assert t.coeff(3) == pytest.approx(-1.0, abs=1e-12)
-        assert t.coeff(-3) == pytest.approx(-1.0, abs=1e-12)
-        for mm in (-2, -1, 1, 2):
-            assert abs(t.coeff(mm)) < 1e-12
-
     def test_single_atom(self):
         t = build_trig(parse_measure("0:1"))
         assert t.coeff(0) == pytest.approx(3.0, abs=1e-12)
         assert t.coeff(1) == pytest.approx(-1.0, abs=1e-12)
         assert t.coeff(-1) == pytest.approx(-1.0, abs=1e-12)
-
-    def test_antipodal(self):
-        t = build_trig(parse_measure("0,1/2:1,1"))
-        assert t.coeff(0) == pytest.approx(6.0, abs=1e-12)
-        assert t.coeff(2) == pytest.approx(-1.0, abs=1e-12)
-        assert abs(t.coeff(1)) < 1e-12 and abs(t.coeff(-1)) < 1e-12
 
     @pytest.mark.parametrize("spec", ["0,1/3,2/3:1,1,1", "0:1", "0,1/4:2,0.5",
                                       "0,1/5,1/2:1,3,0.25"])
@@ -79,23 +64,10 @@ class TestBuildTrig:
 
 
 class TestFactorize:
-    def test_three_point(self):
-        fr = factorize(parse_measure("0,1/3,2/3:1,1,1"))
-        assert np.allclose(np.abs(fr.alphas), ALPHA_CONST, atol=1e-9)
-        cubes = fr.alphas ** 3
-        assert np.allclose(cubes, B_CONST, atol=1e-8)
-        assert fr.d * B_CONST == pytest.approx(1.0, rel=1e-10)
-
     def test_single_atom(self):
         fr = factorize(parse_measure("0:1"))
         assert fr.alphas[0] == pytest.approx((3 + np.sqrt(5)) / 2, rel=1e-10)
         assert fr.d == pytest.approx((3 - np.sqrt(5)) / 2, rel=1e-10)
-
-    def test_antipodal(self):
-        fr = factorize(parse_measure("0,1/2:1,1"))
-        assert sorted(np.round(fr.alphas.real, 9)) == pytest.approx(
-            [-(1 + np.sqrt(2)), 1 + np.sqrt(2)])
-        assert fr.d == pytest.approx(1 / (3 + 2 * np.sqrt(2)), rel=1e-10)
 
     def test_exactly_k_exterior_roots(self):
         for spec in ("0:1", "0,1/2:1,1", "0,1/3,2/3:1,1,1", "0,1/5,1/2:1,2,3"):

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cdsp import NumericPolicy, debranges, fejer, parse_measure, report
-from cdsp.cli import main
+from cdsp import NumericPolicy, debranges, parse_measure, report
 from cdsp.errors import NotPSD
 from cdsp.report import PipelineResult, analyze, report_to_json
 from conftest import equi_spaced, seeded_measure
@@ -380,19 +379,6 @@ class TestReferenceChecks:
         want = report_to_json(report.reference_checks())
         with np.printoptions(precision=3):
             assert report_to_json(report.reference_checks()) == want
-
-    # a residual just over identity_tol (1e-9): the run still reads the
-    # factorization, so only the identity item fails
-    def test_identity_failure_fails_only_its_item(self, monkeypatch, capsys):
-        monkeypatch.setattr(fejer, "verify_identity", lambda m, fr: 2e-9)
-        rep = report.reference_checks()
-        assert len(rep["items"]) == 13
-        items = {it["name"]: it for it in rep["items"]}
-        assert items.pop("factorization_identity") == {
-            "name": "factorization_identity", "status": "FAIL", "detail": "residual=2e-09"}
-        assert all(it["status"] == "PASS" for it in items.values())
-        assert rep["all_passed"] is False
-        assert main(["paper-check"]) == 1
 
     def test_closed_form_arrays(self):
         ref = report.closed_form_constants()

@@ -12,8 +12,8 @@ from cdsp.debranges import eval_S
 from cdsp.fejer import FejerRiesz
 from conftest import SPECS, Pipe, equi_spaced, seeded_measure
 
-SHADOW_SPECS = {"ref3": SPECS["three_point"], "antipodal": SPECS["antipodal"],
-                "quarter": SPECS["quarter"],
+SHADOW_SPECS = {"ref3": SPECS["three_point"], "single": SPECS["single"],
+                "antipodal": SPECS["antipodal"], "quarter": SPECS["quarter"],
                 **{f"equi{k}": equi_spaced(k) for k in range(4, 9)},
                 # seven draws from one generator
                 **{f"random{k}": seeded_measure(rng, k, log_weights=True)
@@ -44,12 +44,15 @@ def test_three_point_shadow_equals_the_closed_forms():
     sh, ref = mpref.shadow(SPECS["three_point"]), mpref.three_point()
     with mp.workdps(mpref.DPS):
         b, x, s, sc = ref["b"], ref["x"], ref["s"], mp.conj(ref["s"])
+        w = 1 + 1 / s
 
         def circulant(row):  # row i is ``row`` shifted right by i
             return np.array([np.roll(np.array(row, dtype=object), i) for i in range(3)])
 
         inverse = circulant([x * x - mp.mpf(1) / 3, sc ** 2 - x * s, s ** 2 - x * sc])
+        # O'(zeta w) = w^2 O'(zeta) at the atoms 1, w, w^2
         for got, want in [(np.array(sh.alphas) ** 3, b), (sh.d, 1 / b), (np.abs(sh.fprime), 1),
+                          (sh.fprime, sh.fprime[0] * w ** np.array([0, 2, 1])),
                           (sh.D, circulant([x, s, sc])), (sh.B, inverse / (x * (x * x - 1))),
                           (sh.C, np.diag(ref["c"])),
                           (sh.S, np.array([[ref["S"](r, t) for t in sh.alphas]
