@@ -63,7 +63,8 @@ def cmd_analyze(args) -> int:
     policy = replace(_policy_file(args.policy),
                      **{k: v for k, v in overrides.items() if v is not None})
     rep = analyze(_load_measure_arg(args.measure), policy,
-                  with_oracle=args.oracle, exhaustive_psd=args.exhaustive_psd)
+                  with_oracle=args.oracle, exhaustive_psd=args.exhaustive_psd,
+                  full=args.full)
     return 0 if _emit(report_to_json(rep), args.out) else 2
 
 
@@ -198,6 +199,8 @@ def make_parser() -> argparse.ArgumentParser:
                    help="also run the operator-level cross-check")
     p.add_argument("--exhaustive-psd", action="store_true",
                    help="do not short-circuit positivity probes")
+    p.add_argument("--full", action="store_true",
+                   help="also build and report the Hermitian form (C and P)")
     common(p, policy=True, fields=True)
     p.set_defaults(func=cmd_analyze)
 

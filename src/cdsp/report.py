@@ -19,7 +19,9 @@ from .errors import IdentityResidual
 from .measure import Measure, measure_from_turns, parse_measure, rotate_measure
 from .policy import NumericPolicy
 
-SCHEMA_VERSION = 1
+# the layouts of the analysis report and of the paper-check document
+SCHEMA_VERSION = 2
+CHECKS_SCHEMA_VERSION = 1
 
 
 def measure_json(m: Measure) -> dict:
@@ -34,8 +36,8 @@ class PipelineResult:
 
     Construction runs the stages through the verdict (and the oracle when
     asked); the Hermitian form ``hf`` (C and P) is built on first read, so a
-    verdict-only caller neither pays for it nor loses its verdict when
-    building it fails."""
+    verdict-only caller (the default report included) neither pays for it
+    nor loses its verdict when building it fails."""
 
     def __init__(self, m: Measure, policy: NumericPolicy,
                  with_oracle: bool = False, exhaustive_psd: bool = False):
@@ -79,16 +81,19 @@ def run_oracle(m: Measure, policy: NumericPolicy) -> dict:
 
 
 def analyze(measure_spec: str, policy: Optional[NumericPolicy] = None,
-            with_oracle: bool = False, exhaustive_psd: bool = False) -> dict:
+            with_oracle: bool = False, exhaustive_psd: bool = False,
+            full: bool = False) -> dict:
     policy = policy or NumericPolicy()
     m = parse_measure(measure_spec)
     res = PipelineResult(m, policy, with_oracle, exhaustive_psd)
-    return build_report(res)
+    return build_report(res, full)
 
 
-def build_report(res: PipelineResult) -> dict:
+def build_report(res: PipelineResult, full: bool = False) -> dict:
     """The report of one analysis; complex values stay Python ``complex``
-    until ``report_to_json`` spells them."""
+    until ``report_to_json`` spells them.  Only a ``full`` report reads
+    ``res.hf`` and carries the ``hermitian_form`` section (C and P), so a
+    failing C raises only there."""
     v = res.verdict
     rep = {
         "schema": SCHEMA_VERSION,
@@ -103,10 +108,8 @@ def build_report(res: PipelineResult) -> dict:
             "B": res.dd.B.tolist(),
             "asymmetry": res.dd.gram_asymmetry,
         },
-        "hermitian_form": {
-            "C": res.hf.C.tolist(),
-            "P": res.hf.P.tolist(),
-        },
+        **({"hermitian_form": {"C": res.hf.C.tolist(), "P": res.hf.P.tolist()}}
+           if full else {}),
         "S": {
             "diagonal": v.S.diagonal().real.tolist(),
             "offdiagonal": [
@@ -379,7 +382,7 @@ def reference_checks(rotation_turns=None, weights=None) -> dict:
     items.append(_check("verdict_not_subnormal", res.verdict.decision == vd.NOT_SUBNORMAL,
                         res.verdict.decision))
     return {
-        "schema": SCHEMA_VERSION,
+        "schema": CHECKS_SCHEMA_VERSION,
         "measure": measure_json(m),
         "items": items,
         "all_passed": all(it["status"] != "FAIL" for it in items),

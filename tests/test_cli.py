@@ -11,9 +11,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cdsp import fejer, parse_measure, report
+from cdsp import debranges, fejer, parse_measure, report
 from cdsp.cli import SWEEP_COLUMNS, main, run_sweep
-from cdsp.errors import CdspError, PolicyError
+from cdsp.errors import CdspError, IllConditioned, PolicyError
 from cdsp.policy import NumericPolicy
 from conftest import equi_spaced
 
@@ -22,6 +22,11 @@ def run(capsys, *argv):
     code = main(list(argv))
     cap = capsys.readouterr()
     return code, cap.out, cap.err
+
+
+def untimed(text):
+    """A report's text with the run's own time set to 0."""
+    return re.sub(r'"total_s": [^\n]*', '"total_s": 0', text)
 
 
 def usage_error(capsys, *argv):
@@ -37,13 +42,43 @@ class TestAnalyze:
         code, out, _ = run(capsys, "analyze", "-m", "0,1/3,2/3:1,1,1")
         assert code == 0
         rep = json.loads(out)
-        assert rep["schema"] == 1
+        assert rep["schema"] == 2
         assert rep["verdict"]["decision"] == "NotSubnormal"
         assert rep["verdict"]["max_offdiag_norm"] == pytest.approx(0.182, abs=2e-3)
         assert len(rep["factorization"]["alphas"]) == 3
         assert rep["factorization"]["identity_residual"] <= 1e-9
-        assert {"measure", "gram", "hermitian_form", "S", "policy",
-                "timings"} <= set(rep)
+        assert list(rep) == ["schema", "measure", "factorization", "gram", "S",
+                             "verdict", "policy", "timings"]
+
+    @pytest.mark.parametrize("spec", ["0,1/3,2/3:1,1,1",
+                                      "43/997,134/997,328/997,504/997:1.1,0.35,1.5,3.9"])
+    def test_full_adds_the_hermitian_form(self, capsys, spec):
+        # --full is the default report plus C and P, placed after gram, with
+        # the values PipelineResult.hf holds, bit for bit
+        code, out, _ = run(capsys, "analyze", "-m", spec)
+        assert code == 0
+        code, full_out, _ = run(capsys, "analyze", "-m", spec, "--full")
+        assert code == 0
+        full = json.loads(full_out)
+        hf = report.PipelineResult(parse_measure(spec), NumericPolicy()).hf
+        for name in ("C", "P"):
+            got = np.array([[complex(z["re"], z["im"]) for z in row]
+                            for row in full["hermitian_form"][name]])
+            assert got.tobytes() == getattr(hf, name).tobytes()
+        assert list(full)[3:5] == ["gram", "hermitian_form"]
+        del full["hermitian_form"]
+        assert untimed(json.dumps(full, indent=2) + "\n") == untimed(out)
+
+    def test_default_report_never_reads_the_hermitian_form(self, capsys, monkeypatch):
+        def refuse(dd):
+            raise IllConditioned("extract_C called")
+        monkeypatch.setattr(debranges, "extract_C", refuse)
+        code, out, _ = run(capsys, "analyze", "-m", "0,1/3,2/3:1,1,1", "--oracle")
+        assert code == 0
+        assert json.loads(out)["verdict"]["decision"] == "NotSubnormal"
+        code, out, err = run(capsys, "analyze", "-m", "0,1/3,2/3:1,1,1", "--full")
+        assert code == 2 and out == ""
+        assert err == "error [IllConditioned]: extract_C called\n"
 
     def test_antipodal_subnormal(self, capsys):
         code, out, _ = run(capsys, "analyze", "--measure", "0,1/2:1,1")
@@ -97,13 +132,10 @@ class TestAnalyze:
         code, out, _ = run(capsys, "analyze", "-m", "0:1", "--out", str(dest))
         assert code == 0 and out == ""
         text = dest.read_bytes().decode("utf-8")
-        assert json.loads(text)["schema"] == 1
+        assert json.loads(text)["schema"] == 2
         # the file holds the stdout text byte for byte, up to the run's own time
         code, out, _ = run(capsys, "analyze", "-m", "0:1")
         assert code == 0
-
-        def untimed(s):
-            return re.sub(r'"total_s": [^\n]*', '"total_s": 0', s)
         assert text.endswith("}\n") and untimed(text) == untimed(out)
 
     def test_policy_file_and_overrides(self, capsys, tmp_path):
@@ -244,10 +276,14 @@ class TestAnalyze:
         assert "error [ParseError]: weight must be a number, got True" in err
 
     # C is indefinite here (roots accurate to 5e-11 or 1.5e-9 relative) while
-    # S at the roots decides; the report needs C, so analyze still fails
+    # S at the roots decides; the default report does not need C, so it keeps
+    # the verdict, and only --full fails
     @pytest.mark.parametrize("c, k", [(5, 128), (20, 96)])
     def test_failing_C_is_one_error_line(self, capsys, c, k):
-        code, out, err = run(capsys, "analyze", "-m", equi_spaced(k, c))
+        code, out, _ = run(capsys, "analyze", "-m", equi_spaced(k, c))
+        assert code == 0
+        assert json.loads(out)["verdict"]["decision"] == "NotSubnormal"
+        code, out, err = run(capsys, "analyze", "-m", equi_spaced(k, c), "--full")
         assert code == 2
         assert out == ""
         assert re.fullmatch(rf"error \[NotPSD\]: pivot -\S+ at index {k - 1}\n", err)
@@ -265,9 +301,10 @@ class TestAnalyze:
 
 @pytest.mark.parametrize("argv", [
     ("analyze", "-m", "0,1/3,2/3:1,1,1", "--oracle"),
+    ("analyze", "-m", "43/997,134/997,328/997,504/997:1.1,0.35,1.5,3.9", "--full"),
     ("paper-check",),
     ("kernel", "-m", "0,1/3,2/3:1,1,1", "--z", "0.3,0.1", "--lam=-0.2,0.4"),
-], ids=["analyze", "paper-check", "kernel"])
+], ids=["analyze", "analyze-full", "paper-check", "kernel"])
 def test_prints_json_dumps_indent_2_text(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0

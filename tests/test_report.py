@@ -342,7 +342,8 @@ MIXED_ATOMS = json.dumps({"atoms": [
 ], ids=["ref3-oracle-exhaustive", "antipodal", "equi8", "equi16", "equi32", "equi10",
         "random7", "random8", "mixed-atoms"])
 def test_pipeline_report_is_json_dumps(spec, kwargs):
-    rep = analyze(spec, **kwargs)
+    # the full report, whose sections are the default report's and C and P
+    rep = analyze(spec, full=True, **kwargs)
     assert report_to_json(rep) == json.dumps(rep, indent=2, default=re_im)
 
 

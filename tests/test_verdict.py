@@ -16,6 +16,10 @@ from conftest import Pipe, S_at, equi_spaced, random_measures
 
 
 EQUI8 = equi_spaced(8)
+# two unit atoms 1e-6 turns off antipodal: a real measure whose
+# max_offdiag_norm, 1.1107e-6, lies between the default zero_accept (1e-7)
+# and zero_reject (1e-4)
+NEAR_ANTIPODAL = "0,500001/1000000:1,1"
 
 
 def S_of(pipe):
@@ -314,6 +318,10 @@ class TestDecide:
         S = np.where(np.eye(2, dtype=bool), 1.0, 1e-5).astype(complex)
         v = decide(fr, S, run_psd=False)
         assert v.decision == INCONCLUSIVE
+        pipe = Pipe(NEAR_ANTIPODAL)
+        v = decide(pipe.fr, S_of(pipe), NumericPolicy())
+        assert 1e-6 < v.max_offdiag_norm < 2e-6
+        assert v.decision == INCONCLUSIVE
 
     def test_broken_premise_without_violation_is_inconclusive(self):
         fr = FejerRiesz(np.array([2.0 + 0j, 3.0 + 0j]), 1.0)
@@ -340,6 +348,13 @@ class TestDecide:
         loose = NumericPolicy(zero_reject=10.0, zero_accept=1e-7)
         v = decide(three_point.fr, S_of(three_point), loose, run_psd=False)
         assert v.decision == INCONCLUSIVE
+        # moving either threshold past the near-antipodal norm decides it,
+        # each way, with the probes run
+        pipe = Pipe(NEAR_ANTIPODAL)
+        strict = NumericPolicy(zero_accept=1e-8, zero_reject=1e-6)
+        assert decide(pipe.fr, S_of(pipe), strict).decision == NOT_SUBNORMAL
+        lenient = NumericPolicy(zero_accept=2e-6, zero_reject=1e-4)
+        assert decide(pipe.fr, S_of(pipe), lenient).decision == SUBNORMAL_NUMERIC
 
     def test_short_circuit_stops_at_policy_tolerance(self):
         # l = 2 reads min_eig/trace = -9.8e-9: below the default -1e-10 of
