@@ -59,7 +59,7 @@ def _emit(text: str, out_path) -> bool:
 
 
 def cmd_analyze(args) -> int:
-    overrides = {"seed": args.seed, "l_max": args.lmax, "N_trunc": args.ntrunc}
+    overrides = {"l_max": args.lmax, "N_trunc": args.ntrunc}
     policy = replace(_policy_file(args.policy),
                      **{k: v for k, v in overrides.items() if v is not None})
     rep = analyze(_load_measure_arg(args.measure), policy,
@@ -187,7 +187,6 @@ def make_parser() -> argparse.ArgumentParser:
         if policy:
             p.add_argument("--policy", help="@file.json numeric policy")
         if fields:
-            p.add_argument("--seed", type=_INT, help="seed for random test vectors")
             p.add_argument("--lmax", type=_INT, help="positivity probe depth")
             p.add_argument("--ntrunc", type=_INT, help="truncation size for probes")
         p.add_argument("--out", help="write output to this path instead of stdout")

@@ -62,7 +62,3 @@ class IllConditioned(CdspError):
 
 class DegenerateAlphas(CdspError):
     """Exterior roots are not pairwise distinct."""
-
-
-class Overflow(CdspError):
-    """A coefficient-shift would push mass past the truncation boundary."""

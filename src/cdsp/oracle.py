@@ -14,22 +14,23 @@ Gm = G[:-1, :-1] and H = G[1:, 1:].  The Cauchy dual and its norm are
 read from that rank-k defect (see dual_step, cauchy_dual_matrix and
 dual_norm).
 
-Vectors are coefficient columns.  norm_sq, apply_mz, orbit_norms and
-agler_forms also take a block whose columns are separate vectors, so the
-random probes run all their trials as one matrix product per step.
+Vectors are coefficient columns.  norm_sq, orbit_norms and agler_forms
+also take a block X, whose "norm" is the Gram matrix X^H G X: one orbit of
+the first s coordinate vectors gives an operator's Agler forms on their
+whole span, and agler_eigs reads each form's extreme values there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from math import comb
 from typing import Callable, List
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import Overflow, Singular
+from .errors import Singular
 from .measure import Measure
 
 
@@ -71,26 +72,18 @@ def monomial_gram(m: Measure, N: int) -> MonomialModel:
     return MonomialModel(N, G, m)
 
 
-def apply_mz(mm: MonomialModel, v: np.ndarray) -> np.ndarray:
-    """Coefficient shift up by one, of a vector or of each column of a
-    block; the model must have headroom."""
-    v = np.asarray(v, dtype=complex)
-    if np.any(np.abs(v[-1]) > 0):
-        raise Overflow("top coefficient nonzero; shift would leave the model")
-    out = np.zeros_like(v)
-    out[1:] = v[:-1]
-    return out
-
-
 def norm_sq(mm: MonomialModel, v: np.ndarray):
-    """v^H G v for a vector, or the array of it over the columns of a block."""
-    return np.einsum("i...,i...->...", v.conj(), mm.G @ v).real
+    """v^H G v: a real number for a vector, the Hermitian Gram matrix of the
+    columns for a block."""
+    Gv = mm.G @ v
+    return (v.conj() @ Gv).real if v.ndim == 1 else v.conj().T @ Gv
 
 
 def orbit_norms(mm: MonomialModel, v: np.ndarray, n: int,
                 step: Callable[[np.ndarray], np.ndarray]) -> List:
     """[||v||^2, ||T v||^2, ..., ||T^n v||^2] with T applied by ``step``;
-    one norm_sq per power, of a vector or of a whole block."""
+    one norm_sq per power, of a vector or of a whole block (whose "norms"
+    are Gram matrices)."""
     norms = [norm_sq(mm, v)]
     w = v
     for _ in range(n):
@@ -101,8 +94,8 @@ def orbit_norms(mm: MonomialModel, v: np.ndarray, n: int,
 
 def agler_forms(norms: List) -> List:
     """B_0, ..., B_n from norms[k] = ||T^k v||^2, each as the left-to-right
-    sum  B_n = sum_k (-1)^k C(n, k) ||T^k v||^2 (elementwise for a block's
-    norm arrays).  One cumulative sum along k forms every B_n in that order,
+    sum  B_n = sum_k (-1)^k C(n, k) ||T^k v||^2 (entrywise for a block's
+    Gram matrices).  One cumulative sum along k forms every B_n in that order,
     so it gives the bits of a loop that adds the terms one by one."""
     x = np.asarray(norms)
     coef = _signed_binomials(len(norms))
@@ -116,27 +109,6 @@ def _signed_binomials(size: int) -> np.ndarray:
     """coef[n, k] = (-1)^k C(n, k) for n, k < size (zero above k = n)."""
     return np.array([[(-1) ** k * comb(n, k) for k in range(size)]
                      for n in range(size)], dtype=float)
-
-
-def bn_form(mm: MonomialModel, n: int, v: np.ndarray) -> float:
-    """<B_n(M_z) v, v> via the norms-only telescoping evaluation; exact
-    within the truncation given n steps of headroom."""
-    v = np.asarray(v, dtype=complex)
-    if np.any(np.abs(v[mm.N - n:]) > 0):
-        raise Overflow(f"vector needs {n} coefficients of headroom")
-    return agler_forms(orbit_norms(mm, v, n, partial(apply_mz, mm)))[n]
-
-
-def probe_block(rng: np.random.Generator, size: int, trials: int,
-                support: int) -> np.ndarray:
-    """size x trials block whose columns are random complex normals in their
-    first ``support`` coefficients.  One draw of shape (trials, 2, support)
-    yields the numbers that a real and then an imaginary draw per trial
-    would."""
-    x = rng.normal(size=(trials, 2, support))
-    block = np.zeros((size, trials), dtype=complex)
-    block[:support] = (x[:, 0] + 1j * x[:, 1]).T
-    return block
 
 
 def dual_step(mm: MonomialModel) -> Callable[[np.ndarray], np.ndarray]:
@@ -201,32 +173,51 @@ def dual_norm(mm: MonomialModel) -> float:
     return float(np.sqrt(top))
 
 
-def bn_dual_probe(m: Measure, n_max: int, trials: int, N: int,
-                  seed: int = 0) -> dict:
-    """Most negative normalized Agler form value of the Cauchy dual over
-    random test vectors, with an N vs 2N stabilization comparison.
+def agler_eigs(forms: List[np.ndarray]):
+    """Eigenvalues lam[n - 1] (ascending) and eigenvectors vecs[n - 1] of each
+    B_n, n >= 1, relative to forms[0], where forms[j] is the Gram of T^j on
+    a subspace: the eigenpairs of L^{-1} B_n L^{-H} (forms[0] = L L^H), with
+    the vectors as coefficient columns of unit norm."""
+    Li = np.linalg.inv(np.linalg.cholesky(forms[0]))
+    lam, Y = np.linalg.eigh(Li @ np.stack(agler_forms(forms)[1:]) @ Li.conj().T)
+    return lam, Li.conj().T @ Y
 
-    The trials (``trials`` >= 1, orders 1..``n_max`` >= 1) run as one
-    block; the witness (n, trial) is the first strict minimum in
-    trial-major, then n, order, and None when no value is negative.
-    The Gram is built once, at 2N; the N model is its leading block.
-    ``per_size[size]`` also carries the model under "model", so a caller
-    can reuse it instead of rebuilding."""
-    rng = np.random.default_rng(seed)
+
+# B_n sums 2^n-weighted Gram entries, each with about N * u of rounding, so
+# only a value below -FLOOR * 2^n * N * u counts as a violation
+FLOOR = 10.0
+AGREEMENT = 0.1  # a witness's 2N value lies this close to its N value, relatively
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
+
+def bn_dual_probe(m: Measure, n_max: int, N: int) -> dict:
+    """The smallest eigenvalue of each Agler form B_1..B_n_max of the Cauchy
+    dual on the span E_s of the first s = min(max(8, 2k), N - 8) monomials,
+    on the models of size N and 2N (``min_eig``, keyed by size).
+
+    The witness is the order whose 2N value is the most negative of those
+    below the floor and within AGREEMENT of their N value, with its unit-norm
+    eigenvector, phased so that its largest entry is positive; None if no
+    order qualifies.  An order below the floor whose N and 2N values
+    disagree sets ``truncation_caution``.  The Gram is built once, at 2N;
+    the N model (``model``) is its leading block."""
     big = monomial_gram(m, 2 * N)
-    models = {N: MonomialModel(N, np.ascontiguousarray(big.G[:N, :N]), m), 2 * N: big}
-    results = {}
-    for size, mm in models.items():
-        block = probe_block(rng, size, trials, size // 2)
-        norms = orbit_norms(mm, block, n_max, dual_step(mm))
-        values = np.stack(agler_forms(norms)[1:], axis=1) / norms[0][:, None]
-        first = int(np.argmin(values))  # values[trial, n - 1], row-major
-        worst, witness = 0.0, None
-        if values.flat[first] < 0:
-            trial, col = divmod(first, n_max)
-            worst, witness = float(values.flat[first]), (col + 1, trial)
-        results[size] = {"most_negative": worst, "witness": witness, "model": mm}
-    a, b = results[N]["most_negative"], results[2 * N]["most_negative"]
-    caution = abs(a - b) > 0.1 * max(abs(a), abs(b), 1e-12)
-    return {"N": N, "per_size": results, "most_negative": b,
-            "witness": results[2 * N]["witness"], "truncation_caution": caution}
+    small = MonomialModel(N, np.ascontiguousarray(big.G[:N, :N]), m)
+    s = min(max(8, 2 * m.k), N - 8)
+    lam, vecs = {}, {}
+    for mm in (small, big):
+        E = np.eye(mm.N, s, dtype=complex)
+        lam[mm.N], vecs[mm.N] = agler_eigs(orbit_norms(mm, E, n_max, dual_step(mm)))
+    low, high = lam[N][:, 0], lam[2 * N][:, 0]
+    floor = FLOOR * 2.0 ** np.arange(1, n_max + 1) * 2 * N * UNIT_ROUNDOFF
+    below = high < -floor
+    stable = np.abs(high - low) <= AGREEMENT * np.abs(low)
+    witness = None
+    if np.any(below & stable):
+        n = int(np.argmin(np.where(below & stable, high, np.inf)))
+        v = vecs[2 * N][n][:, 0]
+        top = v[np.argmax(np.abs(v))]
+        witness = {"order": n + 1, "vector": (v * (abs(top) / top)).tolist()}
+    return {"s": s, "model": small, "min_eig": lam, "floor": floor,
+            "most_negative": float(high.min()), "witness": witness,
+            "truncation_caution": bool(np.any(below & ~stable))}

@@ -32,7 +32,8 @@ class NumericPolicy:
                 raise PolicyError(f"{name} must be a positive real number, got {value!r}")
         if not self.zero_accept < self.zero_reject:
             raise PolicyError("zero_accept must be below zero_reject")
-        # oracle_N >= 9: the oracle's probe vectors leave the top 8 coefficients free;
+        # oracle_N >= 9: the oracle's span E_s, s <= oracle_N - 8, must be nonempty
+        # and leave 8 coefficients for the shift's 8 steps; seed is read by nothing;
         # N_trunc, oracle_N <= MAX_N keep the probe and oracle matrices to tens of MB;
         # l_max <= MAX_L bounds the exhaustive probe loop, one N_trunc-sized
         # eigenproblem per order, to a few seconds at the default N_trunc

@@ -15,12 +15,12 @@ from typing import Optional
 import numpy as np
 
 from . import debranges, dirichlet, fejer, oracle, verdict as vd
-from .errors import IdentityResidual
+from .errors import CdspError, IdentityResidual
 from .measure import Measure, measure_from_turns, parse_measure, rotate_measure
 from .policy import NumericPolicy
 
 # the layouts of the analysis report and of the paper-check document
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 CHECKS_SCHEMA_VERSION = 1
 
 
@@ -61,21 +61,26 @@ class PipelineResult:
         return debranges.extract_C(self.dd)
 
 
+# Agler orders B_1..B_ORACLE_ORDERS that the oracle reads, of the shift and of its dual
+ORACLE_ORDERS = 8
+
+
 def run_oracle(m: Measure, policy: NumericPolicy) -> dict:
+    """The ``oracle`` section: the deterministic Agler forms of the Cauchy
+    dual (``oracle.bn_dual_probe``) and, as a check of the model, those of
+    the shift on the same span E_s.  The shift moves E_s to the next s
+    coordinates, so its forms are the slides G[j:j+s, j:j+s] of the Gram."""
     N = policy.oracle_N
-    probe = oracle.bn_dual_probe(m, 8, 10, N, seed=policy.seed)
-    mm = probe["per_size"][N]["model"]
-    rng = np.random.default_rng(policy.seed)
-    block = oracle.probe_block(rng, N, 20, N - 8)
-    norms = oracle.orbit_norms(mm, block, 6, lambda w: oracle.apply_mz(mm, w))
-    forms = oracle.agler_forms(norms)
+    probe = oracle.bn_dual_probe(m, ORACLE_ORDERS, N)
+    mm, s = probe["model"], probe["s"]
+    lam, _ = oracle.agler_eigs([mm.G[j:j + s, j:j + s] for j in range(ORACLE_ORDERS + 1)])
     return {
         "N": N,
-        "two_isometry_defect": float(np.max(np.abs(forms[2]) / norms[0])),
-        "max_bn_form": float(np.max(np.stack(forms[1:]) / norms[0])),
+        "two_isometry_defect": float(np.max(np.abs(lam[1]))),
+        "max_bn_form": float(np.max(lam)),
         "dual_norm": oracle.dual_norm(mm),
         "dual_probe_most_negative": probe["most_negative"],
-        "dual_probe_witness": list(probe["witness"]) if probe["witness"] else None,
+        "dual_probe_witness": probe["witness"],
         "truncation_caution": probe["truncation_caution"],
     }
 
@@ -92,9 +97,17 @@ def analyze(measure_spec: str, policy: Optional[NumericPolicy] = None,
 def build_report(res: PipelineResult, full: bool = False) -> dict:
     """The report of one analysis; complex values stay Python ``complex``
     until ``report_to_json`` spells them.  Only a ``full`` report reads
-    ``res.hf`` and carries the ``hermitian_form`` section (C and P), so a
-    failing C raises only there."""
+    ``res.hf`` and carries the ``hermitian_form`` section (C and P); when
+    building C fails, that section is null and ``hermitian_form_error``
+    names the error, so the verdict is still reported."""
     v = res.verdict
+    hf = {}
+    if full:
+        try:
+            hf = {"hermitian_form": {"C": res.hf.C.tolist(), "P": res.hf.P.tolist()}}
+        except CdspError as exc:
+            hf = {"hermitian_form": None,
+                  "hermitian_form_error": f"{type(exc).__name__}: {exc}"}
     rep = {
         "schema": SCHEMA_VERSION,
         "measure": measure_json(res.measure),
@@ -108,8 +121,7 @@ def build_report(res: PipelineResult, full: bool = False) -> dict:
             "B": res.dd.B.tolist(),
             "asymmetry": res.dd.gram_asymmetry,
         },
-        **({"hermitian_form": {"C": res.hf.C.tolist(), "P": res.hf.P.tolist()}}
-           if full else {}),
+        **hf,
         "S": {
             "diagonal": v.S.diagonal().real.tolist(),
             "offdiagonal": [

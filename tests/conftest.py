@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, strategies as st
 
 from cdsp import NumericPolicy, build_dirichlet, eval_S, extract_C, factorize, parse_measure
+from cdsp.oracle import agler_forms, orbit_norms
 from cdsp.report import closed_form_constants
 
 
@@ -46,6 +47,20 @@ W_CONST = _REF["w"]
 def S_at(dd, z, u) -> complex:
     """S(z, u) at one pair of points: the 1 x 1 grid of eval_S."""
     return complex(eval_S(dd, [z], [u])[0, 0])
+
+
+def shift(v):
+    """M_z on coefficient columns: every coefficient moves up by one."""
+    out = np.zeros_like(v)
+    out[1:] = v[:-1]
+    return out
+
+
+def bn_form(mm, n, v) -> float:
+    """<B_n(M_z) v, v> on the monomial model ``mm``; v keeps its top n
+    coefficients zero, so that the shift stays inside the model."""
+    assert not np.any(v[mm.N - n:])
+    return agler_forms(orbit_norms(mm, v, n, shift))[n]
 
 
 def equi_spaced(k, weight=1):

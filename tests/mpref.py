@@ -8,10 +8,13 @@ spectrum of each k x k probe form (``mp.eighe``): all at DPS digits, on numpy
 object arrays of mpmath numbers, once per spec.  ``eval_S_mp`` and
 ``dft_C_mp`` start from the float pipeline's alpha, d and B instead, so they
 measure the rounding of the evaluation alone.  ``three_point`` holds the
-paper's closed forms, which the ref3 shadow must meet.
+paper's closed forms, which the ref3 shadow must meet.  ``agler_min_eigs``
+builds the operator oracle's Agler forms of the Cauchy dual on the monomial
+model from the exact atoms.
 """
 
 from functools import lru_cache, reduce
+from math import comb
 from types import SimpleNamespace
 
 import mpmath as mp
@@ -153,3 +156,51 @@ def three_point() -> dict:
         c = (3 * b / (x * (x - 1)), 3 * b / (x * (x + 1)), (1 - b) + 3 * b / (x + 1))
         return {"b": b, "x": x, "s": 1 / (w - 1), "c": c,
                 "S": lambda z, u: sum(cm * (z * mp.conj(u)) ** m for m, cm in enumerate(c, 1))}
+
+
+def _matmul(A, B) -> np.ndarray:
+    """A @ B on object arrays of mpmath numbers, one ``mp.fdot`` per entry."""
+    return np.array([[mp.fdot(row, col) for col in B.T] for row in A], dtype=object)
+
+
+def _chol_solve(L, B) -> np.ndarray:
+    """X with L L^H X = B, for lower triangular L: two substitutions."""
+    Y, X, Lh = np.empty_like(B), np.empty_like(B), np.conj(L).T
+    for i in range(len(L)):
+        Y[i] = (B[i] - _matmul(L[i:i + 1, :i], Y[:i])[0]) / L[i, i]
+    for i in reversed(range(len(L))):
+        X[i] = (Y[i] - _matmul(Lh[i:i + 1, i + 1:], X[i + 1:])[0]) / Lh[i, i]
+    return X
+
+
+@lru_cache(maxsize=None)
+def agler_min_eigs(spec: str, N: int, s: int, n_max: int) -> list:
+    """The smallest eigenvalue of each Agler form B_1..B_n_max of the Cauchy
+    dual T' on the span of the first s monomials, relative to their Gram, on
+    the model of size N: ``oracle.bn_dual_probe``'s forms from the exact
+    atoms.  T' w = shift((I - H^{-1} U diag(c) U^H) w[:-1]) with H = G[1:, 1:]
+    and U[i, j] = conj(zeta_j)^i."""
+    fz = factorization(spec)
+    with mp.workdps(DPS):
+        moments = {l: mp.fsum(c * z ** l for c, z in zip(fz.weights, fz.zetas))
+                   for l in range(-(N - 1), N)}
+        G = np.array([[int(i == j) + min(i, j) * moments[j - i] for j in range(N)]
+                      for i in range(N)], dtype=object)
+        U = np.array([[mp.conj(z) ** i for z in fz.zetas] for i in range(N - 1)], dtype=object)
+        H = np.array(mp.cholesky(mp.matrix(G[1:, 1:].tolist())).tolist(), dtype=object)
+        HiU = _chol_solve(H, U)
+        cUh = np.conj(U).T * np.array(fz.weights, dtype=object)[:, None]
+        X = np.eye(N, s, dtype=int).astype(object) * mp.mpc(1)
+        forms = []
+        for _ in range(n_max + 1):
+            forms.append(_matmul(np.conj(X).T, _matmul(G, X)))
+            X = np.concatenate([X[:1] * 0, X[:-1] - _matmul(HiU, _matmul(cUh, X[:-1]))])
+        Li = mp.inverse(mp.cholesky(mp.matrix(forms[0].tolist())))
+        Li = np.array(Li.tolist(), dtype=object)
+        out = []
+        for n in range(1, n_max + 1):
+            B = sum((-1) ** j * comb(n, j) * forms[j] for j in range(n + 1))
+            M = _matmul(_matmul(Li, B), np.conj(Li).T)
+            out.append(min(mp.eighe(mp.matrix(((M + np.conj(M).T) / 2).tolist()),
+                                    eigvals_only=True)))
+        return out

@@ -13,13 +13,13 @@ import numpy as np
 import pytest
 
 import mpref
-from conftest import gram_quadrature
+from conftest import bn_form, gram_quadrature
 from cdsp import (NumericPolicy, build_dirichlet, build_trig, extract_C,
                   factorize, parse_measure, rotate_measure)
 from cdsp.debranges import eval_S, kernel_KB
 from cdsp.dirichlet import kernel_full
 from cdsp.measure import Measure
-from cdsp.oracle import bn_form, dual_norm, monomial_gram, norm_sq
+from cdsp.oracle import dual_norm, monomial_gram, norm_sq
 from cdsp.report import closed_form_constants
 from cdsp.verdict import (NOT_SUBNORMAL, SUBNORMAL_NUMERIC, decide,
                           moment_truncation, psd_search)
