@@ -156,10 +156,14 @@ class TestExtractC:
         with pytest.raises(IllConditioned, match="coefficient refit residual too large"):
             extract_C(replace(dd, W=dd.W + 1e-3 * E))
 
-    # the full report builds C and P, so extract_C's check and factor_P run
+    # the full report builds C and P, so extract_C's check and factor_P run;
+    # a failing C would leave hermitian_form null and name the error
     @pytest.mark.parametrize("k", [29, 33, 38, 48, 64])
     def test_large_equi_spaced_decides(self, k):
-        assert analyze(equi_spaced(k), full=True)["verdict"]["decision"] == "NotSubnormal"
+        rep = analyze(equi_spaced(k), full=True)
+        assert rep["verdict"]["decision"] == "NotSubnormal"
+        assert rep["hermitian_form"] is not None
+        assert "hermitian_form_error" not in rep
 
     # the explicit k = 13 and 16 examples have cond(C) of 1.5e10 and 6e8, so a
     # coefficient error near 1e-10 max|C| already drives a Cholesky pivot negative

@@ -342,8 +342,11 @@ MIXED_ATOMS = json.dumps({"atoms": [
 ], ids=["ref3-oracle-exhaustive", "antipodal", "equi8", "equi16", "equi32", "equi10",
         "random7", "random8", "mixed-atoms"])
 def test_pipeline_report_is_json_dumps(spec, kwargs):
-    # the full report, whose sections are the default report's and C and P
+    # the full report, whose sections are the default report's and C and P;
+    # C and P must be built, so their text is compared too
     rep = analyze(spec, full=True, **kwargs)
+    assert rep["hermitian_form"] is not None
+    assert "hermitian_form_error" not in rep
     assert report_to_json(rep) == json.dumps(rep, indent=2, default=re_im)
 
 
