@@ -5,18 +5,19 @@ the weighted Dirichlet inner product has the closed form
 
     <z^n, z^m> = delta_nm + min(n, m) * s[n - m],   s[l] = sum_j c_j zeta_j^l
 
-so G is built from the 2N - 1 values of the Toeplitz symbol s (the tests
-validate it against direct 2-D quadrature of the defining integral).
+so G is built from the N values s[0..N-1] of the Toeplitz symbol, with
+s[-l] = conj(s[l]) (the tests validate it against direct 2-D quadrature of
+the defining integral).
 
 The shift is a 2-isometry whose defect M_z^* M_z - I has rank k: on the
 model, H - Gm = sum_j c_j u_j u_j^H with u_j[i] = conj(zeta_j)^i, where
-Gm = G[:-1, :-1] and H = G[1:, 1:].  The Cauchy dual and its norm are
-read from that rank-k defect (see dual_step, cauchy_dual_matrix and
-dual_norm).
+Gm = G[:-1, :-1] and H = G[1:, 1:].  The Cauchy dual, its norm and its
+Agler forms are read from that rank-k defect (see cauchy_dual_matrix,
+dual_norm and dual_forms).
 
-Vectors are coefficient columns.  norm_sq, orbit_norms and agler_forms
-also take a block X, whose "norm" is the Gram matrix X^H G X: one orbit of
-the first s coordinate vectors gives an operator's Agler forms on their
+Vectors are coefficient columns.  norm_sq and agler_forms also take a
+block X, whose "norm" is the Gram matrix X^H G X: the Grams of one orbit
+of the first s coordinate vectors give an operator's Agler forms on their
 whole span, and agler_eigs reads each form's extreme values there.
 """
 
@@ -25,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb
-from typing import Callable, List
+from typing import List
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -47,7 +48,7 @@ class MonomialModel:
     @cached_property
     def defect(self):
         """(U, c, H^{-1} U) for the rank-k defect H - Gm = U diag(c) U^H,
-        solved once per model for dual_step, cauchy_dual_matrix and dual_norm."""
+        solved once per model for dual_forms, cauchy_dual_matrix and dual_norm."""
         U = self.measure.points.conj()[None, :] ** np.arange(self.N - 1)[:, None]
         try:
             return U, self.measure.weights, np.linalg.solve(self.G[1:, 1:], U)
@@ -58,17 +59,15 @@ class MonomialModel:
 def monomial_gram(m: Measure, N: int) -> MonomialModel:
     """The model of size N.  Each entry of G depends only on (i, j), so the
     leading n x n block of the size-N model's G is the size-n model's G,
-    bit for bit."""
-    lags = np.arange(-(N - 1), N)
-    symbol = np.sum(m.weights[:, None] * m.points[:, None] ** lags, axis=0)  # s[l] at lags + N - 1
+    bit for bit; and s[-l] = conj(s[l]) makes G Hermitian bit for bit."""
+    half = np.sum(m.weights[:, None] * m.points[:, None] ** np.arange(N), axis=0)
+    symbol = np.concatenate((half[:0:-1].conj(), half))  # s[l] at l + N - 1
     # int32 halves the N x N temporary min(i, j): at 2N = 128 an int64 one is
     # large enough to be served from fresh memory pages on each call
     idx = np.arange(N, dtype=np.int32)
     # row i of the reversed windows is symbol[N - 1 - i:], so s[j - i] sits at G[i, j]
     G = np.multiply(np.minimum.outer(idx, idx), sliding_window_view(symbol, N)[::-1])
     G[idx, idx] += 1.0
-    G += G.conj().T  # conj() copies, so the transpose does not alias G
-    G *= 0.5
     return MonomialModel(N, G, m)
 
 
@@ -79,29 +78,18 @@ def norm_sq(mm: MonomialModel, v: np.ndarray):
     return (v.conj() @ Gv).real if v.ndim == 1 else v.conj().T @ Gv
 
 
-def orbit_norms(mm: MonomialModel, v: np.ndarray, n: int,
-                step: Callable[[np.ndarray], np.ndarray]) -> List:
-    """[||v||^2, ||T v||^2, ..., ||T^n v||^2] with T applied by ``step``;
-    one norm_sq per power, of a vector or of a whole block (whose "norms"
-    are Gram matrices)."""
-    norms = [norm_sq(mm, v)]
-    w = v
-    for _ in range(n):
-        w = step(w)
-        norms.append(norm_sq(mm, w))
-    return norms
-
-
 def agler_forms(norms: List) -> List:
     """B_0, ..., B_n from norms[k] = ||T^k v||^2, each as the left-to-right
     sum  B_n = sum_k (-1)^k C(n, k) ||T^k v||^2 (entrywise for a block's
-    Gram matrices).  One cumulative sum along k forms every B_n in that order,
+    Gram matrices).  One running sum over k forms every B_n in that order,
     so it gives the bits of a loop that adds the terms one by one."""
     x = np.asarray(norms)
-    coef = _signed_binomials(len(norms))
-    terms = coef.reshape(coef.shape + (1,) * (x.ndim - 1)) * x  # [n, k, ...]
-    ks = np.arange(len(norms))
-    return list(np.cumsum(terms, axis=1)[ks, ks])
+    coef = _signed_binomials(len(x))
+    coef = coef.reshape(coef.shape + (1,) * (x.ndim - 1))
+    B = coef[:, 0] * x[0]
+    for k in range(1, len(x)):
+        B[k:] += coef[k:, k] * x[k]  # the k-th term of every B_n, n >= k
+    return list(B)
 
 
 @lru_cache(maxsize=8)
@@ -111,26 +99,9 @@ def _signed_binomials(size: int) -> np.ndarray:
                      for n in range(size)], dtype=float)
 
 
-def dual_step(mm: MonomialModel) -> Callable[[np.ndarray], np.ndarray]:
-    """T (T^*T)^{-1} as a step for orbit_norms: the product with
-    cauchy_dual_matrix(mm), applied to a vector or block w through the rank-k
-    defect with two (N - 1) x k products instead of one N x N product.
-    Like the matrix, it ignores w's top coefficient."""
-    U, c, HiU = mm.defect
-    cUh = c[:, None] * U.conj().T
-
-    def step(w: np.ndarray) -> np.ndarray:
-        out = np.empty(w.shape, dtype=complex)
-        out[0] = 0.0
-        np.subtract(w[:-1], HiU @ (cUh @ w[:-1]), out=out[1:])
-        return out
-
-    return step
-
-
 def cauchy_dual_matrix(mm: MonomialModel) -> np.ndarray:
     """Matrix of T (T^* T)^{-1} on the truncated model, with T^* the
-    G-adjoint of the shift; the dense reference for dual_step.
+    G-adjoint of the shift; the tests' dense reference for dual_forms.
 
     The truncated shift annihilates the top basis vector, so T^*T is formed
     on the one-step-smaller domain where it is invertible; the final column
@@ -173,14 +144,44 @@ def dual_norm(mm: MonomialModel) -> float:
     return float(np.sqrt(top))
 
 
-def agler_eigs(forms: List[np.ndarray]):
-    """Eigenvalues lam[n - 1] (ascending) and eigenvectors vecs[n - 1] of each
-    B_n, n >= 1, relative to forms[0], where forms[j] is the Gram of T^j on
-    a subspace: the eigenpairs of L^{-1} B_n L^{-H} (forms[0] = L L^H), with
-    the vectors as coefficient columns of unit norm."""
-    Li = np.linalg.inv(np.linalg.cholesky(forms[0]))
-    lam, Y = np.linalg.eigh(Li @ np.stack(agler_forms(forms)[1:]) @ Li.conj().T)
-    return lam, Li.conj().T @ Y
+def dual_forms(mm: MonomialModel, s: int, n: int) -> np.ndarray:
+    """The s x s Grams N_j = X_j^H G X_j, j = 0..n, of the Cauchy dual's orbit
+    X_j = T'^j E_s, by N_{j+1} = N_j - Z^H Q Z with no N x N product.  With
+    x' = X_j[:-1], a = U^H x' and K = U^H H^{-1} U, T' maps X_j to
+    [0; x' - H^{-1} U diag(c) a] and ||T'x||^2 = ||x'||^2_Gm - a^H (c - cKc) a
+    (c for diag(c)), so Z = [a; g^H x'; x_top] and Q = [[c - cKc, 0, 0],
+    [0, 0, 1], [0, 1, gamma]] with g = G[:-1, -1] and gamma = G[-1, -1]."""
+    U, c, HiU = mm.defect
+    k = len(c)
+    W = np.vstack((U.conj().T, mm.G[None, :-1, -1].conj()))  # rows U^H and g^H
+    Q = np.zeros((k + 2, k + 2), dtype=complex)
+    Q[:k, :k] = np.diag(c) - c[:, None] * (W[:k] @ HiU) * c
+    Q[k:, k:] = [[0.0, 1.0], [1.0, mm.G[-1, -1]]]
+    forms = np.empty((n + 1, s, s), dtype=complex)
+    forms[0] = mm.G[:s, :s]
+    X = np.eye(mm.N, s, dtype=complex)
+    Z = np.empty((k + 2, s), dtype=complex)
+    for j in range(n):
+        np.matmul(W, X[:-1], out=Z[:-1])
+        Z[-1] = X[-1]
+        np.subtract(forms[j], Z.conj().T @ (Q @ Z), out=forms[j + 1])
+        X[1:] = X[:-1] - HiU @ (c[:, None] * Z[:k])
+        X[0] = 0.0
+    return forms
+
+
+def agler_eigs(forms):
+    """Eigenvalues lam[..., n - 1, :] (ascending) and eigenvectors
+    vecs[..., n - 1, :, :] of each B_n, n >= 1, relative to forms[..., 0, :, :],
+    where forms[..., j, :, :] is the Gram of T^j on a subspace: the eigenpairs
+    of L^{-1} B_n L^{-H} (forms[..., 0, :, :] = L L^H), the vectors as unit-norm
+    coefficient columns.  A family on the leading axes gets a lone call's bits."""
+    forms = np.asarray(forms)
+    Li = np.linalg.inv(np.linalg.cholesky(forms[..., 0, :, :]))[..., None, :, :]
+    Lih = np.swapaxes(Li.conj(), -1, -2)
+    B = np.stack(agler_forms(np.moveaxis(forms, -3, 0))[1:], axis=-3)
+    lam, Y = np.linalg.eigh(Li @ B @ Lih)
+    return lam, Lih @ Y
 
 
 # B_n sums 2^n-weighted Gram entries, each with about N * u of rounding, so
@@ -200,24 +201,24 @@ def bn_dual_probe(m: Measure, n_max: int, N: int) -> dict:
     eigenvector, phased so that its largest entry is positive; None if no
     order qualifies.  An order below the floor whose N and 2N values
     disagree sets ``truncation_caution``.  The Gram is built once, at 2N;
-    the N model (``model``) is its leading block."""
+    the N model (``model``) is its leading block.  The same eigen-solve reads
+    every eigenvalue of the shift's forms on E_s of the N model, the slides
+    G[j:j+s, j:j+s] (``shift_eig``)."""
     big = monomial_gram(m, 2 * N)
     small = MonomialModel(N, np.ascontiguousarray(big.G[:N, :N]), m)
     s = min(max(8, 2 * m.k), N - 8)
-    lam, vecs = {}, {}
-    for mm in (small, big):
-        E = np.eye(mm.N, s, dtype=complex)
-        lam[mm.N], vecs[mm.N] = agler_eigs(orbit_norms(mm, E, n_max, dual_step(mm)))
-    low, high = lam[N][:, 0], lam[2 * N][:, 0]
+    lam, vecs = agler_eigs(np.stack((dual_forms(small, s, n_max), dual_forms(big, s, n_max),
+                                     [small.G[j:j + s, j:j + s] for j in range(n_max + 1)])))
+    low, high = lam[0, :, 0], lam[1, :, 0]
     floor = FLOOR * 2.0 ** np.arange(1, n_max + 1) * 2 * N * UNIT_ROUNDOFF
     below = high < -floor
     stable = np.abs(high - low) <= AGREEMENT * np.abs(low)
     witness = None
     if np.any(below & stable):
         n = int(np.argmin(np.where(below & stable, high, np.inf)))
-        v = vecs[2 * N][n][:, 0]
+        v = vecs[1, n, :, 0]
         top = v[np.argmax(np.abs(v))]
         witness = {"order": n + 1, "vector": (v * (abs(top) / top)).tolist()}
-    return {"s": s, "model": small, "min_eig": lam, "floor": floor,
-            "most_negative": float(high.min()), "witness": witness,
-            "truncation_caution": bool(np.any(below & ~stable))}
+    return {"s": s, "model": small, "min_eig": {N: lam[0], 2 * N: lam[1]},
+            "shift_eig": lam[2], "floor": floor, "most_negative": float(high.min()),
+            "witness": witness, "truncation_caution": bool(np.any(below & ~stable))}

@@ -68,17 +68,16 @@ ORACLE_ORDERS = 8
 def run_oracle(m: Measure, policy: NumericPolicy) -> dict:
     """The ``oracle`` section: the deterministic Agler forms of the Cauchy
     dual (``oracle.bn_dual_probe``) and, as a check of the model, those of
-    the shift on the same span E_s.  The shift moves E_s to the next s
-    coordinates, so its forms are the slides G[j:j+s, j:j+s] of the Gram."""
+    the shift on the same span E_s, which ``bn_dual_probe`` reads in the
+    dual's eigen-solve as the slides G[j:j+s, j:j+s] of the Gram."""
     N = policy.oracle_N
     probe = oracle.bn_dual_probe(m, ORACLE_ORDERS, N)
-    mm, s = probe["model"], probe["s"]
-    lam, _ = oracle.agler_eigs([mm.G[j:j + s, j:j + s] for j in range(ORACLE_ORDERS + 1)])
+    lam = probe["shift_eig"]
     return {
         "N": N,
         "two_isometry_defect": float(np.max(np.abs(lam[1]))),
         "max_bn_form": float(np.max(lam)),
-        "dual_norm": oracle.dual_norm(mm),
+        "dual_norm": oracle.dual_norm(probe["model"]),
         "dual_probe_most_negative": probe["most_negative"],
         "dual_probe_witness": probe["witness"],
         "truncation_caution": probe["truncation_caution"],

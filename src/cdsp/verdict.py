@@ -118,8 +118,8 @@ def _moment_factors(fr: FejerRiesz, S: np.ndarray, N: int):
 
 def _truncation(factors, l: int) -> np.ndarray:
     kappa, gamma, V, Vh = factors
-    M = V @ (kappa * gamma ** l) @ Vh
-    return 0.5 * (M + M.conj().T)
+    K = kappa * gamma ** l
+    return V @ (0.5 * (K + K.conj().T)) @ Vh  # Hermitian on the k x k core, not N x N
 
 
 def moment_truncation(fr: FejerRiesz, S: np.ndarray, l: int, N: int) -> np.ndarray:

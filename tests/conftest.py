@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, strategies as st
 
 from cdsp import NumericPolicy, build_dirichlet, eval_S, extract_C, factorize, parse_measure
-from cdsp.oracle import agler_forms, orbit_norms
+from cdsp.oracle import agler_forms, norm_sq
 from cdsp.report import closed_form_constants
 
 
@@ -54,6 +54,35 @@ def shift(v):
     out = np.zeros_like(v)
     out[1:] = v[:-1]
     return out
+
+
+def dual_step(mm):
+    """T (T^*T)^{-1} as a step for orbit_norms: the product with
+    cauchy_dual_matrix(mm), applied to a vector or block w through the rank-k
+    defect with two (N - 1) x k products.  Like the matrix, it ignores w's
+    top coefficient."""
+    U, c, HiU = mm.defect
+    cUh = c[:, None] * U.conj().T
+
+    def step(w):
+        out = np.empty(w.shape, dtype=complex)
+        out[0] = 0.0
+        np.subtract(w[:-1], HiU @ (cUh @ w[:-1]), out=out[1:])
+        return out
+
+    return step
+
+
+def orbit_norms(mm, v, n, step):
+    """[||v||^2, ||T v||^2, ..., ||T^n v||^2] with T applied by ``step``;
+    one norm_sq per power, of a vector or of a whole block (whose "norms"
+    are Gram matrices)."""
+    norms = [norm_sq(mm, v)]
+    w = v
+    for _ in range(n):
+        w = step(w)
+        norms.append(norm_sq(mm, w))
+    return norms
 
 
 def bn_form(mm, n, v) -> float:
