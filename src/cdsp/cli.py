@@ -199,7 +199,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--exhaustive-psd", action="store_true",
                    help="do not short-circuit positivity probes")
     p.add_argument("--full", action="store_true",
-                   help="also build and report the Hermitian form (C and P)")
+                   help="also report the Gram matrix D, its inverse B and the "
+                        "Hermitian form (C and P)")
     common(p, policy=True, fields=True)
     p.set_defaults(func=cmd_analyze)
 

@@ -18,7 +18,8 @@ dual_norm and dual_forms).
 Vectors are coefficient columns.  norm_sq and agler_forms also take a
 block X, whose "norm" is the Gram matrix X^H G X: the Grams of one orbit
 of the first s coordinate vectors give an operator's Agler forms on their
-whole span, and agler_eigs reads each form's extreme values there.
+whole span, and whiten turns each form into the matrix whose eigenvalues
+are its values there relative to that Gram.
 """
 
 from __future__ import annotations
@@ -170,18 +171,18 @@ def dual_forms(mm: MonomialModel, s: int, n: int) -> np.ndarray:
     return forms
 
 
-def agler_eigs(forms):
-    """Eigenvalues lam[..., n - 1, :] (ascending) and eigenvectors
-    vecs[..., n - 1, :, :] of each B_n, n >= 1, relative to forms[..., 0, :, :],
-    where forms[..., j, :, :] is the Gram of T^j on a subspace: the eigenpairs
-    of L^{-1} B_n L^{-H} (forms[..., 0, :, :] = L L^H), the vectors as unit-norm
-    coefficient columns.  A family on the leading axes gets a lone call's bits."""
+def whiten(forms):
+    """(L^{-H}, W) for each B_n, n >= 1, relative to forms[..., 0, :, :],
+    where forms[..., j, :, :] is the Gram of T^j on a subspace:
+    W[..., n - 1, :, :] = L^{-1} B_n L^{-H} with forms[..., 0, :, :] = L L^H,
+    whose eigenvalues are those of B_n relative to that Gram and whose
+    eigenvector y gives the coefficient column L^{-H} y.  A family on the
+    leading axes gets a lone call's bits."""
     forms = np.asarray(forms)
     Li = np.linalg.inv(np.linalg.cholesky(forms[..., 0, :, :]))[..., None, :, :]
     Lih = np.swapaxes(Li.conj(), -1, -2)
     B = np.stack(agler_forms(np.moveaxis(forms, -3, 0))[1:], axis=-3)
-    lam, Y = np.linalg.eigh(Li @ B @ Lih)
-    return lam, Lih @ Y
+    return Lih, Li @ B @ Lih
 
 
 # B_n sums 2^n-weighted Gram entries, each with about N * u of rounding, so
@@ -201,14 +202,16 @@ def bn_dual_probe(m: Measure, n_max: int, N: int) -> dict:
     eigenvector, phased so that its largest entry is positive; None if no
     order qualifies.  An order below the floor whose N and 2N values
     disagree sets ``truncation_caution``.  The Gram is built once, at 2N;
-    the N model (``model``) is its leading block.  The same eigen-solve reads
-    every eigenvalue of the shift's forms on E_s of the N model, the slides
-    G[j:j+s, j:j+s] (``shift_eig``)."""
+    the N model (``model``) is its leading block.  The same eigen-solve, one
+    batched ``eigvalsh`` of the whitened forms, reads every eigenvalue of the
+    shift's forms on E_s of the N model, the slides G[j:j+s, j:j+s]
+    (``shift_eig``); the witness's eigenvector alone comes from an ``eigh``."""
     big = monomial_gram(m, 2 * N)
     small = MonomialModel(N, np.ascontiguousarray(big.G[:N, :N]), m)
     s = min(max(8, 2 * m.k), N - 8)
-    lam, vecs = agler_eigs(np.stack((dual_forms(small, s, n_max), dual_forms(big, s, n_max),
-                                     [small.G[j:j + s, j:j + s] for j in range(n_max + 1)])))
+    Lih, W = whiten(np.stack((dual_forms(small, s, n_max), dual_forms(big, s, n_max),
+                              [small.G[j:j + s, j:j + s] for j in range(n_max + 1)])))
+    lam = np.linalg.eigvalsh(W)
     low, high = lam[0, :, 0], lam[1, :, 0]
     floor = FLOOR * 2.0 ** np.arange(1, n_max + 1) * 2 * N * UNIT_ROUNDOFF
     below = high < -floor
@@ -216,7 +219,7 @@ def bn_dual_probe(m: Measure, n_max: int, N: int) -> dict:
     witness = None
     if np.any(below & stable):
         n = int(np.argmin(np.where(below & stable, high, np.inf)))
-        v = vecs[1, n, :, 0]
+        v = (Lih[1, 0] @ np.linalg.eigh(W[1, n])[1])[:, 0]
         top = v[np.argmax(np.abs(v))]
         witness = {"order": n + 1, "vector": (v * (abs(top) / top)).tolist()}
     return {"s": s, "model": small, "min_eig": {N: lam[0], 2 * N: lam[1]},

@@ -20,7 +20,7 @@ from .measure import Measure, measure_from_turns, parse_measure, rotate_measure
 from .policy import NumericPolicy
 
 # the layouts of the analysis report and of the paper-check document
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 CHECKS_SCHEMA_VERSION = 1
 
 
@@ -95,13 +95,15 @@ def analyze(measure_spec: str, policy: Optional[NumericPolicy] = None,
 
 def build_report(res: PipelineResult, full: bool = False) -> dict:
     """The report of one analysis; complex values stay Python ``complex``
-    until ``report_to_json`` spells them.  Only a ``full`` report reads
-    ``res.hf`` and carries the ``hermitian_form`` section (C and P); when
-    building C fails, that section is null and ``hermitian_form_error``
-    names the error, so the verdict is still reported."""
+    until ``report_to_json`` spells them.  Only a ``full`` report carries
+    the Gram matrix D and its inverse B in ``gram``, and reads ``res.hf``
+    for the ``hermitian_form`` section (C and P); when building C fails,
+    that section is null and ``hermitian_form_error`` names the error, so
+    the verdict is still reported."""
     v = res.verdict
-    hf = {}
+    gram, hf = {}, {}
     if full:
+        gram = {"D": res.dd.D.tolist(), "B": res.dd.B.tolist()}
         try:
             hf = {"hermitian_form": {"C": res.hf.C.tolist(), "P": res.hf.P.tolist()}}
         except CdspError as exc:
@@ -115,11 +117,7 @@ def build_report(res: PipelineResult, full: bool = False) -> dict:
             "d": res.fr.d,
             "identity_residual": res.identity_residual,
         },
-        "gram": {
-            "D": res.dd.D.tolist(),
-            "B": res.dd.B.tolist(),
-            "asymmetry": res.dd.gram_asymmetry,
-        },
+        "gram": {**gram, "asymmetry": res.dd.gram_asymmetry},
         **hf,
         "S": {
             "diagonal": v.S.diagonal().real.tolist(),

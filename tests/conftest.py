@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, strategies as st
 
 from cdsp import NumericPolicy, build_dirichlet, eval_S, extract_C, factorize, parse_measure
-from cdsp.oracle import agler_forms, norm_sq
+from cdsp.oracle import agler_forms, norm_sq, whiten
 from cdsp.report import closed_form_constants
 
 
@@ -83,6 +83,13 @@ def orbit_norms(mm, v, n, step):
         w = step(w)
         norms.append(norm_sq(mm, w))
     return norms
+
+
+def agler_eigs(forms):
+    """Eigenvalues lam[..., n - 1, :] (ascending) of each B_n, n >= 1,
+    relative to forms[..., 0, :, :]: one batched eigvalsh of whiten's
+    matrices, as bn_dual_probe reads them."""
+    return np.linalg.eigvalsh(whiten(forms)[1])
 
 
 def bn_form(mm, n, v) -> float:

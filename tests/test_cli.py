@@ -42,7 +42,7 @@ class TestAnalyze:
         code, out, _ = run(capsys, "analyze", "-m", "0,1/3,2/3:1,1,1")
         assert code == 0
         rep = json.loads(out)
-        assert rep["schema"] == 3
+        assert rep["schema"] == 4
         assert rep["verdict"]["decision"] == "NotSubnormal"
         assert rep["verdict"]["max_offdiag_norm"] == pytest.approx(0.182, abs=2e-3)
         assert len(rep["factorization"]["alphas"]) == 3
@@ -53,20 +53,25 @@ class TestAnalyze:
     @pytest.mark.parametrize("spec", ["0,1/3,2/3:1,1,1",
                                       "43/997,134/997,328/997,504/997:1.1,0.35,1.5,3.9"])
     def test_full_adds_the_hermitian_form(self, capsys, spec):
-        # --full is the default report plus C and P, placed after gram, with
-        # the values PipelineResult.hf holds, bit for bit
+        # --full is the default report plus D and B ahead of the asymmetry in
+        # gram, and C and P placed after gram, with the values PipelineResult
+        # holds, bit for bit; the default gram is the asymmetry alone
         code, out, _ = run(capsys, "analyze", "-m", spec)
         assert code == 0
         code, full_out, _ = run(capsys, "analyze", "-m", spec, "--full")
         assert code == 0
         full = json.loads(full_out)
-        hf = report.PipelineResult(parse_measure(spec), NumericPolicy()).hf
-        for name in ("C", "P"):
+        res = report.PipelineResult(parse_measure(spec), NumericPolicy())
+        assert json.loads(out)["gram"] == {"asymmetry": res.dd.gram_asymmetry}
+        for section, name, want in [("gram", "D", res.dd.D), ("gram", "B", res.dd.B),
+                                    ("hermitian_form", "C", res.hf.C),
+                                    ("hermitian_form", "P", res.hf.P)]:
             got = np.array([[complex(z["re"], z["im"]) for z in row]
-                            for row in full["hermitian_form"][name]])
-            assert got.tobytes() == getattr(hf, name).tobytes()
+                            for row in full[section][name]])
+            assert got.tobytes() == want.tobytes()
         assert list(full)[3:5] == ["gram", "hermitian_form"]
-        del full["hermitian_form"]
+        assert list(full["gram"]) == ["D", "B", "asymmetry"]
+        del full["gram"]["D"], full["gram"]["B"], full["hermitian_form"]
         assert untimed(json.dumps(full, indent=2) + "\n") == untimed(out)
 
     def test_default_report_never_reads_the_hermitian_form(self, capsys, monkeypatch):
@@ -136,7 +141,7 @@ class TestAnalyze:
         code, out, _ = run(capsys, "analyze", "-m", "0:1", "--out", str(dest))
         assert code == 0 and out == ""
         text = dest.read_bytes().decode("utf-8")
-        assert json.loads(text)["schema"] == 3
+        assert json.loads(text)["schema"] == 4
         # the file holds the stdout text byte for byte, up to the run's own time
         code, out, _ = run(capsys, "analyze", "-m", "0:1")
         assert code == 0
@@ -284,22 +289,23 @@ class TestAnalyze:
 
     # C is indefinite here (roots accurate to 5e-11 or 1.5e-9 relative) while
     # S at the roots decides; the default report does not need C, so it keeps
-    # the verdict; --full keeps it too, with C's error in place of C and P
+    # the verdict; --full keeps it too, with D and B and with C's error in
+    # place of C and P
     @pytest.mark.parametrize("c, k", [(5, 128), (20, 96)])
     def test_full_keeps_the_verdict_when_C_fails(self, capsys, c, k):
         code, out, _ = run(capsys, "analyze", "-m", equi_spaced(k, c))
         assert code == 0
         default = json.loads(out)
         assert default["verdict"]["decision"] == "NotSubnormal"
-        code, out, err = run(capsys, "analyze", "-m", equi_spaced(k, c), "--full")
+        code, full_out, err = run(capsys, "analyze", "-m", equi_spaced(k, c), "--full")
         assert code == 0 and err == ""
-        full = json.loads(out)
+        full = json.loads(full_out)
         assert full["hermitian_form"] is None
         assert re.fullmatch(rf"NotPSD: pivot -\S+ at index {k - 1}", full["hermitian_form_error"])
-        for rep in (default, full):
-            del rep["timings"]
+        assert len(full["gram"]["D"]) == len(full["gram"]["B"]) == k
+        del full["gram"]["D"], full["gram"]["B"]
         del full["hermitian_form"], full["hermitian_form_error"]
-        assert full == default
+        assert untimed(json.dumps(full, indent=2) + "\n") == untimed(out)
 
     def test_byte_stable_modulo_timings(self, capsys):
         reps = []

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import mpref
-from conftest import (bn_form, dual_step, equi_spaced, gram_quadrature, orbit_norms,
+from conftest import (agler_eigs, bn_form, dual_step, equi_spaced, gram_quadrature, orbit_norms,
                       random_measures, shift)
 from cdsp import parse_measure
-from cdsp.oracle import (UNIT_ROUNDOFF, MonomialModel, agler_eigs, agler_forms, bn_dual_probe,
+from cdsp.oracle import (UNIT_ROUNDOFF, MonomialModel, agler_forms, bn_dual_probe,
                          cauchy_dual_matrix, dual_forms, dual_norm, monomial_gram, norm_sq)
 from cdsp.policy import NumericPolicy
 from cdsp.report import PipelineResult, run_oracle
@@ -235,16 +235,15 @@ class TestSharedOrbit:
     @pytest.mark.parametrize("spec", SPECS)
     def test_one_eigen_solve_equals_three_calls(self, spec):
         # bn_dual_probe reads the dual at N and 2N and the shift at N in one
-        # batched agler_eigs; each family keeps the bits of a call of its own
+        # batched eigen-solve; each family keeps the bits of a call of its own
         m = parse_measure(spec)
         probe = bn_dual_probe(m, 8, 24)
         small, s = probe["model"], probe["s"]
         families = [dual_forms(small, s, 8), dual_forms(monomial_gram(m, 48), s, 8),
                     [small.G[j:j + s, j:j + s] for j in range(9)]]
-        lam, vecs = agler_eigs(np.stack(families))
+        lam = agler_eigs(np.stack(families))
         for i, forms in enumerate(families):
-            one_lam, one_vecs = agler_eigs(forms)
-            assert np.array_equal(one_lam, lam[i]) and np.array_equal(one_vecs, vecs[i])
+            assert np.array_equal(agler_eigs(forms), lam[i])
         assert np.array_equal(probe["min_eig"][24], lam[0])
         assert np.array_equal(probe["min_eig"][48], lam[1])
         assert np.array_equal(probe["shift_eig"], lam[2])
@@ -275,7 +274,7 @@ class TestSharedOrbit:
         got = run_oracle(m, NumericPolicy(oracle_N=24))
         mm = monomial_gram(m, 24)
         E = np.eye(24, bn_dual_probe(m, 8, 24)["s"], dtype=complex)
-        lam, _ = agler_eigs(orbit_norms(mm, E, 8, shift))
+        lam = agler_eigs(orbit_norms(mm, E, 8, shift))
         assert got["two_isometry_defect"] == np.max(np.abs(lam[1]))
         assert got["max_bn_form"] == np.max(lam)
         assert got["dual_norm"] == dual_norm(mm)
